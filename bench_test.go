@@ -184,12 +184,12 @@ func BenchmarkFig10AtScale(b *testing.B) {
 	}
 }
 
-// BenchmarkFig10AtScaleSharded is the same workload on the sharded
-// engine (one shard per pod). Compare allocs/op against the serial
-// benchmark above: the sharded hot path is allocation-free, so the two
-// should stay within a fraction of a percent of each other — the
-// residual is fixed per-engine setup (barrier, worker mailboxes,
-// per-shard gauges and heaps) that amortizes with run length.
+// BenchmarkFig10AtScaleSharded is the same workload with one engine
+// shard per pod instead of one. Compare allocs/op against the benchmark
+// above: the recompute hot path is allocation-free, so the two should
+// stay within a fraction of a percent of each other — the residual is
+// fixed per-engine setup (barrier, worker mailboxes, per-shard gauges
+// and heaps) that amortizes with run length.
 func BenchmarkFig10AtScaleSharded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig10(experiments.ScaleConfig{EngineShards: -1})

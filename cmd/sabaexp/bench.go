@@ -94,12 +94,7 @@ func buildBenchSuite() ([]benchEntry, error) {
 			_, err := experiments.Fig10(experiments.ScaleConfig{})
 			return err
 		}},
-		// The same workload on the sharded engine (one event loop per
-		// pod). Note the metering difference: the serial loop counts one
-		// event per step even when a step drains several completions,
-		// while the sharded barrier rounds count every completion and
-		// timer they apply — so events/sec is comparable across runs of
-		// the same cell but not across the serial/sharded pair.
+		// The same workload with one event shard per pod instead of one.
 		{name: "Fig10AtScale/sharded", fn: func() error {
 			_, err := experiments.Fig10(experiments.ScaleConfig{EngineShards: -1})
 			return err

@@ -30,7 +30,7 @@ func main() {
 	setups := flag.Int("setups", 25, "cluster setups for fig 8 (paper: 500)")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "experiment seed")
 	full := flag.Bool("full", false, "paper-scale parameters for the simulation studies")
-	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, 1 = serial legacy path, n >= 2 = n shards")
+	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, 1 = one shard, n >= 2 = n shards")
 	out := flag.String("out", "", "directory for CSV outputs (fig 2)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for independent experiment cells; 1 forces serial execution (results are identical at any setting)")
 	showMetrics := flag.Bool("metrics", false, "print the final telemetry snapshot as JSON")
@@ -125,8 +125,8 @@ func printMetrics() error {
 }
 
 // engineShards maps the CLI -shards convention (0 = one shard per pod,
-// 1 = serial legacy path, n >= 2 = n shards) onto the internal
-// EngineShards convention (0 = serial, -1 = per-pod).
+// 1 = one shard, n >= 2 = n shards) onto the internal
+// EngineShards convention (0 = one shard, -1 = per-pod).
 func engineShards(cli int) int {
 	switch cli {
 	case 0:

@@ -37,7 +37,7 @@ func main() {
 	compare := flag.String("compare", "", "also run this policy and report speedups")
 	seed := flag.Int64("seed", 1, "scenario seed")
 	queues := flag.Int("queues", 8, "per-port queues")
-	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, 1 = serial legacy path, n >= 2 = n shards")
+	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, 1 = one shard, n >= 2 = n shards")
 	showMetrics := flag.Bool("metrics", false, "print the final telemetry snapshot as JSON")
 	flag.Parse()
 
@@ -73,8 +73,8 @@ func policyNames() []string {
 }
 
 // engineShards maps the CLI -shards convention (0 = one shard per pod,
-// 1 = serial legacy path, n >= 2 = n shards) onto the internal
-// core.RunConfig.EngineShards convention (0 = serial, -1 = per-pod).
+// 1 = one shard, n >= 2 = n shards) onto the internal
+// core.RunConfig.EngineShards convention (0 = one shard, -1 = per-pod).
 func engineShards(cli int) int {
 	switch cli {
 	case 0:

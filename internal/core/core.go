@@ -83,9 +83,9 @@ type RunConfig struct {
 	// Shards is the distributed-controller shard count; 0 → 4.
 	Shards int
 	// EngineShards selects the simulation engine's event-loop sharding
-	// (netsim.Engine.SetShards): 0 keeps the serial legacy path, -1
-	// derives one shard per fabric partition (pod), and n >= 2 uses n
-	// shards. Distinct from Shards, which shards the distributed
+	// (netsim.Engine.SetShards): 0 or 1 runs one shard, -1 derives one
+	// shard per fabric partition (pod), and n >= 2 uses n shards; every
+	// setting produces identical results. Distinct from Shards, which shards the distributed
 	// controller mesh, not the simulator.
 	EngineShards int
 	// FECNEfficiency tunes the baseline's congested-link utilization;

@@ -33,12 +33,15 @@ type HyperscaleConfig struct {
 	CrossPod float64
 	Seed     int64
 	// Shards selects the engine sharding: 0 → one shard per pod (the
-	// default this figure exists to exercise), 1 → the serial engine,
-	// n ≥ 2 → n shards.
+	// default this figure exists to exercise), 1 → one shard, n ≥ 2 → n
+	// shards.
 	Shards int
 	// CompareSerial additionally replays the identical workload on the
-	// serial engine and checks the completion digests match bit-for-bit.
-	// Off by default: it roughly doubles the run time.
+	// engine's full-recompute reference (one shard, SetFullRecompute:
+	// no scoping, no clones, no lookahead windows) and checks the
+	// completion digests match bit-for-bit. Off by default: the
+	// reference re-rates every active flow on every change, so it is
+	// only affordable on reduced shapes.
 	CompareSerial bool
 }
 
@@ -86,7 +89,7 @@ type HyperscaleResult struct {
 	Makespan            float64 // virtual seconds
 	WallSecs            float64
 	EventsPerSec        float64
-	// Serial comparison (zero / false unless CompareSerial was set).
+	// Reference comparison (zero / false unless CompareSerial was set).
 	SerialWallSecs float64
 	Speedup        float64
 	DigestMatch    bool
@@ -94,10 +97,9 @@ type HyperscaleResult struct {
 
 // FigHyperscale builds a 10k+ host fabric and pushes pod-local flow
 // waves through the sharded engine. It exists to demonstrate — and
-// gate in CI — that the engine completes at a scale the serial path
-// was never exercised at, and (with CompareSerial) that sharding does
-// not change a single completion time even with hundreds of thousands
-// of flows in play.
+// gate in CI — that the engine completes at this scale, and (with
+// CompareSerial) that sharding, scoping and lookahead do not change a
+// single completion time.
 func FigHyperscale(cfg HyperscaleConfig) (*HyperscaleResult, error) {
 	cfg.fill()
 	top, err := topology.NewSpineLeaf(cfg.Topology)
@@ -108,7 +110,7 @@ func FigHyperscale(cfg HyperscaleConfig) (*HyperscaleResult, error) {
 	if len(part.HostsIn(0)) < 2 {
 		return nil, fmt.Errorf("hyperscale: pods need at least 2 hosts for local traffic")
 	}
-	sharded, err := runHyperscale(top, cfg, cfg.Shards)
+	sharded, err := runHyperscale(top, cfg, cfg.Shards, false)
 	if err != nil {
 		return nil, err
 	}
@@ -127,19 +129,19 @@ func FigHyperscale(cfg HyperscaleConfig) (*HyperscaleResult, error) {
 			sharded.admitted-sharded.completed, sharded.admitted)
 	}
 	if cfg.CompareSerial {
-		serial, err := runHyperscale(top, cfg, 1)
+		ref, err := runHyperscale(top, cfg, 1, true)
 		if err != nil {
 			return nil, err
 		}
-		out.SerialWallSecs = serial.wallSecs
+		out.SerialWallSecs = ref.wallSecs
 		if sharded.wallSecs > 0 {
-			out.Speedup = serial.wallSecs / sharded.wallSecs
+			out.Speedup = ref.wallSecs / sharded.wallSecs
 		}
-		out.DigestMatch = serial.digest == sharded.digest &&
-			serial.completed == sharded.completed
+		out.DigestMatch = ref.digest == sharded.digest &&
+			ref.completed == sharded.completed
 		if !out.DigestMatch {
-			return nil, fmt.Errorf("hyperscale: sharded run diverged from serial (digest %x vs %x, completed %d vs %d)",
-				sharded.digest, serial.digest, sharded.completed, serial.completed)
+			return nil, fmt.Errorf("hyperscale: sharded run diverged from the full-recompute reference (digest %x vs %x, completed %d vs %d)",
+				sharded.digest, ref.digest, sharded.completed, ref.completed)
 		}
 	}
 	return out, nil
@@ -155,10 +157,11 @@ func shardCount(shards int, part *topology.Partition) int {
 	return shards
 }
 
-// runHyperscale replays the seeded workload once on a fresh network.
-// The admission schedule is a pure function of the seed, so serial and
-// sharded passes see byte-identical flow sequences.
-func runHyperscale(top *topology.Topology, cfg HyperscaleConfig, shards int) (hyperRun, error) {
+// runHyperscale replays the seeded workload once on a fresh network,
+// with full recompute when full is set. The admission schedule is a
+// pure function of the seed, so every pass sees byte-identical flow
+// sequences.
+func runHyperscale(top *topology.Topology, cfg HyperscaleConfig, shards int, full bool) (hyperRun, error) {
 	// Event throughput is measured as a before/after delta on the
 	// process-wide registry's event counter — the same counter the bench
 	// harness meters — so a FigHyperscale bench cell reports real
@@ -166,13 +169,12 @@ func runHyperscale(top *topology.Topology, cfg HyperscaleConfig, shards int) (hy
 	events := telemetry.Default.Counter("netsim.events")
 	net := netsim.NewNetwork(top)
 	e := netsim.NewEngine(net, netsim.NewIdealMaxMin(net))
-	if shards > 1 || shards < 0 {
-		e.SetShards(shards)
-	}
+	e.SetShards(shards)
+	e.SetFullRecompute(full)
 	// The digest callback reads only e.Now() and folds into run-local
-	// state, so the sharded engine may retire pod-local completions in
-	// lookahead windows (the callbacks still fire in serial order at
-	// serial virtual times).
+	// state, so the engine may retire pod-local completions in lookahead
+	// windows (the callbacks still fire in the same order at the same
+	// virtual times).
 	e.SetPureCallbacks(true)
 	part := top.Partition()
 	pods := part.NumParts()
@@ -180,8 +182,8 @@ func runHyperscale(top *topology.Topology, cfg HyperscaleConfig, shards int) (hy
 	var run hyperRun
 	// Completion digest: FNV-style fold over (flow id, completion time)
 	// in callback order. Callback order is part of the engine's
-	// determinism contract, so serial and sharded digests must collide
-	// exactly or not at all.
+	// determinism contract, so the reference and sharded digests must
+	// collide exactly or not at all.
 	run.digest = 14695981039346656037
 	record := func(e *netsim.Engine, id netsim.FlowID) {
 		run.completed++
@@ -247,7 +249,7 @@ func (r *HyperscaleResult) String() string {
 	fmt.Fprintf(&b, "flows=%d completed=%d makespan=%.4fs\n", r.Flows, r.Completed, r.Makespan)
 	fmt.Fprintf(&b, "wall=%.2fs events/s=%.0f\n", r.WallSecs, r.EventsPerSec)
 	if r.SerialWallSecs > 0 {
-		fmt.Fprintf(&b, "serial wall=%.2fs speedup=%.2fx digest-match=%v\n",
+		fmt.Fprintf(&b, "reference wall=%.2fs speedup=%.2fx digest-match=%v\n",
 			r.SerialWallSecs, r.Speedup, r.DigestMatch)
 	}
 	return b.String()

@@ -22,8 +22,8 @@ type ScaleConfig struct {
 	Seed      int64
 	Full      bool // paper-scale 54/102/108 fabric
 	// EngineShards selects the simulation engine's event-loop sharding
-	// for every run of the study: 0 = serial legacy path, -1 = one shard
-	// per pod, n >= 2 = n shards (core.RunConfig.EngineShards).
+	// for every run of the study: 0 or 1 = one shard, -1 = one shard per
+	// pod, n >= 2 = n shards (core.RunConfig.EngineShards).
 	EngineShards int
 }
 

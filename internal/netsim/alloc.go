@@ -35,7 +35,7 @@ type Allocator interface {
 // engine phases) but owns all scratch and caches, or nil when the
 // current configuration cannot be sharded (e.g. Decentral with a
 // telemetry channel attached, whose publish sequence must match the
-// serial run exactly). Globally-coupled disciplines (Homa, Sincronia)
+// full-recompute reference exactly). Globally-coupled disciplines (Homa, Sincronia)
 // simply do not implement the interface.
 type ShardableAllocator interface {
 	Allocator

@@ -86,7 +86,7 @@ func runDifferential(t *testing.T, name string, seed int64, full bool, reg *tele
 
 // runDifferentialScenario is runDifferential with an optional seeded
 // link-flap schedule layered on top (see faults_test.go) and an engine
-// shard count (0 = serial path, -1 = one shard per pod; see shard.go).
+// shard count (0 or 1 = one shard, -1 = one shard per pod; see shard.go).
 func runDifferentialScenario(t *testing.T, name string, seed int64, full bool, reg *telemetry.Registry, withFlaps bool, shards int) []float64 {
 	t.Helper()
 	top := diffFabric(t)

@@ -3,8 +3,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -96,17 +94,23 @@ func (m *engineMetrics) utilGauges(alloc string) (max, mean *telemetry.Gauge) {
 // recomputing flow rates (whenever the flow set changes) and advancing
 // virtual time to the next flow completion or scheduled event.
 //
-// Two structures make each step cheap in large networks. First, an
-// indexed min-heap of projected completion times replaces the per-step
-// scan over all active flows: a flow's heap key is lastSet +
-// Remaining/Rate, recomputed only when its rate actually changes, so
-// finding the next completion is O(1). Second, rate recomputation is
-// scoped to the dirty component — the flows transitively link-connected
-// to whatever was added or removed — because bandwidth sharing across
-// disjoint components is independent for separable disciplines.
-// Allocators that cannot localize (Homa, Sincronia) decline via
-// AllocateScoped and fall back to a full recompute; SetFullRecompute
-// forces the pre-refactor global path for A/B validation.
+// Two structures make each step cheap in large networks. First, indexed
+// min-heaps of projected completion times replace the per-step scan over
+// all active flows: a flow's heap key is lastSet + Remaining/Rate,
+// recomputed only when its rate actually changes, so finding the next
+// completion is O(1). Second, rate recomputation is scoped to the dirty
+// components — the flows transitively link-connected to whatever was
+// added or removed — because bandwidth sharing across disjoint
+// components is independent for separable disciplines. Allocators that
+// cannot localize (Homa, Sincronia) decline via AllocateScoped and fall
+// back to a full recompute.
+//
+// The event loop is sharded (shard.go): one completion heap per event
+// shard, a single shard by default, more via SetShards. Every shard
+// count produces bit-for-bit the completion times of the full-recompute
+// reference (SetFullRecompute), which re-rates the whole network after
+// every change and uses neither scoping, allocator clones nor lookahead
+// windows; the differential tests hold the engine to that contract.
 type Engine struct {
 	net      *Network
 	alloc    Allocator
@@ -127,32 +131,22 @@ type Engine struct {
 	seedFlows []FlowID
 	seedLinks []topology.LinkID
 
-	// completions maps every active flow with a positive rate to its
-	// projected completion time. In sharded mode (sh != nil) this heap is
-	// empty: projections live in the per-shard heaps instead, and all heap
-	// traffic goes through heapFix/heapRemove so both modes share the
-	// recompute, cancel and failure machinery.
-	completions sim.IndexedHeap
-
-	// sh, when non-nil, holds the sharded-engine state: per-partition
-	// completion heaps and allocator clones coordinated by a conservative
-	// virtual-time barrier. nil selects the serial legacy path, which is
-	// the zero value and stays bit-for-bit reproducible. See shard.go.
+	// sh holds the event shards: per-partition completion heaps (every
+	// active flow with a positive rate, keyed by its projected completion
+	// time) and allocator clones, coordinated by a conservative
+	// virtual-time barrier. Never nil; see shard.go.
 	sh *shardedState
 
 	// Recompute scratch, reused across steps. epoch is atomic because
-	// the sharded engine's lookahead windows run component traversals
-	// concurrently (per-shard linkSeen arrays, shared flowSeen with
-	// owner-only writes) and draw their epochs from the same counter as
-	// the serial phases; the serial path pays one uncontended atomic add
-	// per recompute.
+	// lookahead windows run component traversals concurrently (per-shard
+	// linkSeen arrays, shared flowSeen with owner-only writes) and draw
+	// their epochs from the same counter as the coordinator's phases.
 	ids      []FlowID  // flows handed to the allocator last recompute
 	oldRates []float64 // parallel to ids: rates before the recompute
 	linkSeen []int64   // epoch marks for the component BFS
 	flowSeen []int64
 	epoch    atomic.Int64
 	stack    []topology.LinkID // BFS worklist
-	done     []FlowID          // completions of the current step
 
 	// Completion-callback accounting for the lookahead gate: windows
 	// reorder when callbacks run relative to other shards' simulation
@@ -190,27 +184,28 @@ var (
 // NewEngine creates an engine over the network with the given allocator.
 func NewEngine(net *Network, alloc Allocator) *Engine {
 	id := strconv.FormatUint(engineSeq.Add(1), 10)
-	return &Engine{
+	e := &Engine{
 		net:      net,
 		alloc:    alloc,
 		engineID: id,
 		tel:      newEngineMetrics(telemetry.Default, id),
 	}
+	e.SetShards(1)
+	return e
 }
 
 // SetTelemetry rebinds the engine's instruments to reg (tests use this to
 // isolate from the process-wide default registry).
 func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
 	e.tel = newEngineMetrics(reg, e.engineID)
-	if e.sh != nil {
-		e.bindShardGauges()
-	}
+	e.bindShardGauges()
 }
 
 // SetFullRecompute disables (true) or re-enables (false) scoped rate
 // recomputation: with full recompute every flow-set change re-rates the
-// entire network, the pre-incremental behavior. The differential test
-// drives both modes and checks bit-for-bit identical completion times.
+// entire network on the parent allocator, and no lookahead window opens.
+// It is the reference the differential tests compare every scoped and
+// sharded configuration against, bit for bit.
 func (e *Engine) SetFullRecompute(full bool) { e.full = full }
 
 // Now returns the current virtual time in seconds.
@@ -324,7 +319,7 @@ func (e *Engine) Idle() bool {
 // horizon (seconds; use math.Inf(1) for no limit).
 func (e *Engine) Run(horizon float64) error {
 	for !e.Idle() {
-		if err := e.stepAny(horizon); err != nil {
+		if err := e.step(horizon); err != nil {
 			return err
 		}
 	}
@@ -335,110 +330,9 @@ func (e *Engine) Run(horizon float64) error {
 // the horizon passes.
 func (e *Engine) RunUntil(horizon float64, pred func() bool) error {
 	for !e.Idle() && !pred() {
-		if err := e.stepAny(horizon); err != nil {
+		if err := e.step(horizon); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// stepAny dispatches one event iteration to the serial or sharded loop.
-func (e *Engine) stepAny(horizon float64) error {
-	if e.sh != nil {
-		return e.stepSharded(horizon)
-	}
-	return e.step(horizon)
-}
-
-// step performs one event iteration: reallocate if needed, advance to the
-// next completion/event, fire callbacks.
-func (e *Engine) step(horizon float64) error {
-	e.tel.events.Inc()
-	if e.dirty {
-		e.recompute()
-		e.dirty = false
-		e.tel.rateRecomputes.Inc()
-		e.observeUtilization()
-	}
-
-	// Earliest flow completion: the heap minimum.
-	tFlow := math.Inf(1)
-	if at, _, ok := e.completions.Min(); ok {
-		tFlow = at
-	}
-	tEvent := math.Inf(1)
-	if at, ok := e.events.PeekTime(); ok {
-		tEvent = at
-	}
-
-	tNext := math.Min(tFlow, tEvent)
-	if math.IsInf(tNext, 1) {
-		if e.net.NumActive() > 0 {
-			return ErrDeadlock
-		}
-		return nil
-	}
-	if tNext > horizon {
-		return fmt.Errorf("%w: next event at %gs > horizon %gs", ErrHorizon, tNext, horizon)
-	}
-
-	t0 := e.Now()
-	if err := e.clock.AdvanceTo(tNext); err != nil {
-		return err
-	}
-	e.net.now = tNext
-	if e.OnAdvance != nil && tNext > t0 {
-		e.OnAdvance(e, t0, tNext)
-	}
-
-	// Pop every flow due by tNext. The residual check mirrors the heap
-	// key within completionSlack: a flow whose projected residual at
-	// tNext is below the slack floor finishes now even if its exact
-	// completion time lies marginally beyond.
-	e.done = e.done[:0]
-	for {
-		at, idInt, ok := e.completions.Min()
-		if !ok {
-			break
-		}
-		f := &e.net.flows[idInt]
-		if at > tNext && f.RemainingAt(tNext) > completionSlack(f) {
-			break
-		}
-		e.completions.Pop()
-		f.Remaining = 0
-		f.lastSet = tNext
-		e.done = append(e.done, FlowID(idInt))
-	}
-	for _, id := range e.done {
-		fn := e.takeDone(id)
-		f, err := e.net.Flow(id)
-		if err != nil {
-			return err
-		}
-		e.tel.flowSeconds.Observe(tNext - f.Start)
-		e.seedLinks = append(e.seedLinks, f.Path...)
-		if err := e.net.RemoveFlow(id); err != nil {
-			return err
-		}
-		e.tel.flowCompletions.Inc()
-		e.dirty = true
-		if fn != nil {
-			fn(e, id)
-		}
-	}
-	if len(e.done) > 0 {
-		e.tel.flowsActive.Set(float64(e.net.NumActive()))
-	}
-
-	// Fire all events due now.
-	for {
-		at, ok := e.events.PeekTime()
-		if !ok || at > e.Now()+timeSlack {
-			break
-		}
-		ev, _ := e.events.Pop()
-		ev.Fn()
 	}
 	return nil
 }
@@ -447,12 +341,12 @@ func (e *Engine) step(horizon float64) error {
 // with this engine is pure with respect to the simulation: it may read
 // the engine (Now, telemetry) and record results externally, but never
 // adds, cancels, reconfigures, or otherwise mutates engine or network
-// state. The sharded engine uses the promise to run bounded virtual-time
+// state. The engine uses the promise to run bounded virtual-time
 // lookahead windows: isolated shards retire several completions per
-// barrier round, and the callbacks — though fired in the exact serial
-// order and at the exact serial virtual times — fire after other shards
-// have already simulated past them, which only an effect-free callback
-// cannot observe. Without the promise, lookahead stays off whenever any
+// barrier round, and the callbacks — though fired in the exact order and
+// at the exact virtual times they would have without windows — fire
+// after other shards have already simulated past them, which only an
+// effect-free callback cannot observe. Without the promise, lookahead stays off whenever any
 // callback is registered.
 func (e *Engine) SetPureCallbacks(pure bool) { e.pureCallbacks = pure }
 
@@ -478,94 +372,6 @@ func (e *Engine) takeDone(id FlowID) func(*Engine, FlowID) {
 	}
 	e.onDone[id] = nil
 	return fn
-}
-
-// recompute re-rates the flows affected by the accumulated flow-set
-// changes and re-projects their completion times. With scoping in
-// force, the affected set is the dirty component: every flow reachable
-// from the seeds through shared links. Disciplines that cannot localize
-// decline AllocateScoped and are re-run globally.
-func (e *Engine) recompute() {
-	now := e.clock.Now()
-	scoped := !e.full && !e.dirtyAll
-	e.ids = e.ids[:0]
-	if scoped {
-		e.ids = e.dirtyComponent(e.ids)
-	} else {
-		e.ids = e.net.ActiveInto(e.ids)
-	}
-	// An empty dirty set is still offered to the allocator: separable
-	// disciplines accept it as a no-op (no link they bill changed), while
-	// decliners like Homa must re-rank the whole network on every change
-	// — exactly what the widened path below does.
-	e.saveOldRates()
-	if !e.alloc.AllocateScoped(e.net, e.ids) {
-		if scoped {
-			// Allocator declined: widen to the full active set.
-			e.ids = e.net.ActiveInto(e.ids[:0])
-			e.saveOldRates()
-			scoped = false
-		}
-		e.alloc.Allocate(e.net)
-	} else if scoped && len(e.ids) > 0 {
-		e.tel.scopedRecomputes.Inc()
-		e.tel.dirtyFlows.Add(uint64(len(e.ids)))
-	}
-	e.reproject(now)
-	e.clearSeeds()
-}
-
-// dirtyComponent expands the seed flows and links into the union of
-// link-connected components they touch, appended to buf in ascending
-// FlowID order (the order the allocator contract requires).
-func (e *Engine) dirtyComponent(buf []FlowID) []FlowID {
-	ep := e.epoch.Add(1)
-	for len(e.linkSeen) < len(e.net.linkFlows) {
-		e.linkSeen = append(e.linkSeen, 0)
-	}
-	for len(e.flowSeen) < len(e.net.flows) {
-		e.flowSeen = append(e.flowSeen, 0)
-	}
-	e.stack = e.stack[:0]
-	for _, l := range e.seedLinks {
-		if e.linkSeen[l] != ep {
-			e.linkSeen[l] = ep
-			e.stack = append(e.stack, l)
-		}
-	}
-	for _, id := range e.seedFlows {
-		f := &e.net.flows[id]
-		if !f.active || e.flowSeen[id] == ep {
-			continue // e.g. admitted then cancelled before this recompute
-		}
-		e.flowSeen[id] = ep
-		buf = append(buf, id)
-		for _, l := range f.Path {
-			if e.linkSeen[l] != ep {
-				e.linkSeen[l] = ep
-				e.stack = append(e.stack, l)
-			}
-		}
-	}
-	for len(e.stack) > 0 {
-		l := e.stack[len(e.stack)-1]
-		e.stack = e.stack[:len(e.stack)-1]
-		for _, fid := range e.net.linkFlows[l] {
-			if e.flowSeen[fid] == ep {
-				continue
-			}
-			e.flowSeen[fid] = ep
-			buf = append(buf, fid)
-			for _, fl := range e.net.flows[fid].Path {
-				if e.linkSeen[fl] != ep {
-					e.linkSeen[fl] = ep
-					e.stack = append(e.stack, fl)
-				}
-			}
-		}
-	}
-	slices.Sort(buf)
-	return buf
 }
 
 func (e *Engine) saveOldRates() {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -13,14 +14,16 @@ import (
 // runPodLocal drives a seeded workload that stays overwhelmingly inside
 // single pods — the shape lookahead windows exist for — plus one
 // cross-pod flow mid-run so the coupling counters are seen to gate
-// windows off and back on. Returns completion times in admission order.
-func runPodLocal(t *testing.T, seed int64, shards int, pure bool, reg *telemetry.Registry, reshard bool) []float64 {
+// windows off and back on. full selects the full-recompute reference.
+// Returns completion times in admission order.
+func runPodLocal(t *testing.T, seed int64, shards int, full, pure bool, reg *telemetry.Registry, reshard bool) []float64 {
 	t.Helper()
 	top := diffFabric(t)
 	part := top.Partition()
 	net := NewNetwork(top)
 	e := NewEngine(net, NewIdealMaxMin(net))
 	e.SetTelemetry(reg)
+	e.SetFullRecompute(full)
 	e.SetShards(shards)
 	e.SetPureCallbacks(pure)
 
@@ -91,35 +94,42 @@ func runPodLocal(t *testing.T, seed int64, shards int, pure bool, reg *telemetry
 }
 
 // The lookahead gate: pod-local traffic must engage windows (several
-// completions per barrier round) and stay bit-for-bit identical to the
-// serial engine.
+// completions per barrier round) at one shard and at one shard per pod,
+// and stay bit-for-bit identical to the full-recompute reference, which
+// opens none. (The name predates the one-loop engine, when the reference
+// was a separate serial event loop.)
 func TestLookaheadPodLocalMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		serialReg := telemetry.NewRegistry()
-		shardReg := telemetry.NewRegistry()
-		want := runPodLocal(t, seed, 0, true, serialReg, false)
-		got := runPodLocal(t, seed, -1, true, shardReg, false)
-		assertSameVector(t, "pod-local", want, got)
-		rounds := shardReg.Counter("netsim.lookahead_rounds").Value()
-		events := shardReg.Counter("netsim.lookahead_completions").Value()
-		if rounds == 0 {
-			t.Fatalf("seed %d: pod-local workload never entered a lookahead window", seed)
+		refReg := telemetry.NewRegistry()
+		want := runPodLocal(t, seed, 1, true, true, refReg, false)
+		if rounds := refReg.Counter("netsim.lookahead_rounds").Value(); rounds != 0 {
+			t.Fatalf("seed %d: the full-recompute reference ran %d lookahead rounds", seed, rounds)
 		}
-		if events <= rounds {
-			t.Errorf("seed %d: %d lookahead completions over %d rounds; windows should retire several per round",
-				seed, events, rounds)
+		for _, shards := range []int{1, -1} {
+			reg := telemetry.NewRegistry()
+			got := runPodLocal(t, seed, shards, false, true, reg, false)
+			assertSameVector(t, fmt.Sprintf("pod-local shards=%d", shards), want, got)
+			rounds := reg.Counter("netsim.lookahead_rounds").Value()
+			events := reg.Counter("netsim.lookahead_completions").Value()
+			if rounds == 0 {
+				t.Fatalf("seed %d shards=%d: pod-local workload never entered a lookahead window", seed, shards)
+			}
+			if events <= rounds {
+				t.Errorf("seed %d shards=%d: %d lookahead completions over %d rounds; windows should retire several per round",
+					seed, shards, events, rounds)
+			}
 		}
 	}
 }
 
 // Without the purity declaration, registered completion callbacks must
-// keep lookahead off — and the result must still match serial through
-// the plain barrier path.
+// keep lookahead off — and the result must still match the reference
+// through the plain barrier path.
 func TestLookaheadGatedOffByImpureCallbacks(t *testing.T) {
-	serialReg := telemetry.NewRegistry()
+	refReg := telemetry.NewRegistry()
 	shardReg := telemetry.NewRegistry()
-	want := runPodLocal(t, 1, 0, false, serialReg, false)
-	got := runPodLocal(t, 1, -1, false, shardReg, false)
+	want := runPodLocal(t, 1, 1, true, false, refReg, false)
+	got := runPodLocal(t, 1, -1, false, false, shardReg, false)
 	assertSameVector(t, "impure", want, got)
 	if rounds := shardReg.Counter("netsim.lookahead_rounds").Value(); rounds != 0 {
 		t.Fatalf("lookahead ran %d rounds despite undeclared callbacks", rounds)
@@ -128,23 +138,23 @@ func TestLookaheadGatedOffByImpureCallbacks(t *testing.T) {
 
 // Stress the persistent-worker runtime with real parallelism: windows,
 // barrier rounds, and mid-run reshards (worker-pool teardown and
-// rebuild) under GOMAXPROCS=4, checked bit-for-bit against serial. Run
-// with -race in CI.
+// rebuild) under GOMAXPROCS=4, checked bit-for-bit against the
+// full-recompute reference. Run with -race in CI.
 func TestLookaheadReshardStressParallel(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	for seed := int64(1); seed <= 2; seed++ {
-		serialReg := telemetry.NewRegistry()
+		refReg := telemetry.NewRegistry()
 		shardReg := telemetry.NewRegistry()
-		want := runPodLocal(t, seed, 0, true, serialReg, false)
-		got := runPodLocal(t, seed, -1, true, shardReg, true)
+		want := runPodLocal(t, seed, 1, true, true, refReg, false)
+		got := runPodLocal(t, seed, -1, false, true, shardReg, true)
 		assertSameVector(t, "reshard stress", want, got)
 	}
 }
 
 // Satellite regression: the per-shard flows_active and
 // completion_heap_size gauges must drain to zero when their shard
-// retires — SetShards shrinking the count or dropping to serial.
+// retires — SetShards shrinking the count or dropping to one shard.
 func TestShardGaugesDrainOnRetire(t *testing.T) {
 	top := diffFabric(t)
 	part := top.Partition()
@@ -193,13 +203,13 @@ func TestShardGaugesDrainOnRetire(t *testing.T) {
 		t.Errorf("surviving shards' flows_active sum = %v, want 6", got)
 	}
 
-	e.SetShards(1) // serial: every shard gauge drains
+	e.SetShards(1) // one shard: every per-shard gauge drains
 	for _, shard := range []string{"0", "1", "2"} {
 		if got := gauge("netsim.flows_active", shard); got != 0 {
-			t.Errorf("serial mode: shard %s flows_active = %v, want 0", shard, got)
+			t.Errorf("one shard: shard %s flows_active = %v, want 0", shard, got)
 		}
 		if got := gauge("netsim.completion_heap_size", shard); got != 0 {
-			t.Errorf("serial mode: shard %s heap gauge = %v, want 0", shard, got)
+			t.Errorf("one shard: shard %s heap gauge = %v, want 0", shard, got)
 		}
 	}
 }

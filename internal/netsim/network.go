@@ -324,9 +324,9 @@ func (n *Network) RemoveFlow(id FlowID) error {
 // detached: deactivation, FlowID recycling, the active count. The
 // sharded engine's lookahead windows detach completed flows inside
 // concurrent per-shard phases (each shard owns its pod's links) but
-// must recycle FlowIDs in the globally merged completion order to match
-// the serial engine bit-for-bit, so the free-list push is deferred to
-// the coordinator's apply phase.
+// must recycle FlowIDs in the globally merged completion order to stay
+// bit-for-bit reproducible, so the free-list push is deferred to the
+// coordinator's apply phase.
 func (n *Network) finishRemoved(id FlowID) {
 	f := &n.flows[id]
 	f.active = false

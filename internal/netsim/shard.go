@@ -20,10 +20,11 @@ import (
 // clock to the minimum across shards and timers, and the shards'
 // intra-pod work — component allocation, due-completion collection,
 // and bounded lookahead windows (lookahead.go) — runs concurrently on a
-// persistent worker pool (workers.go). The loop is bit-for-bit
-// identical to the serial engine; DESIGN.md §13 carries the determinism
-// argument, and the differential gate asserts it for all six allocators
-// including under link-flap schedules.
+// persistent worker pool (workers.go). It is the engine's only event
+// loop: an engine starts with one shard. Every shard count is
+// bit-for-bit identical to the full-recompute reference; DESIGN.md §13
+// carries the determinism argument, and the differential gate asserts it
+// for all six allocators including under link-flap schedules.
 
 // dueCand is one completion candidate popped during due collection: the
 // flow and the heap key it carried when popped.
@@ -33,10 +34,10 @@ type dueCand struct {
 }
 
 // retirement is one completion committed inside a lookahead window:
-// the virtual time of the step that retired it (the serial step time),
-// the heap key the flow carried when popped (the serial pop order
-// within a step), and the flow. Sorting merged retirements by
-// (at, key, id) reproduces the serial engine's completion sequence.
+// the virtual time of the barrier round that would have retired it, the
+// heap key the flow carried when popped (the pop order within a round),
+// and the flow. Sorting merged retirements by (at, key, id) reproduces
+// the completion sequence of a run without windows.
 type retirement struct {
 	at  float64
 	key float64
@@ -99,18 +100,14 @@ type shardedState struct {
 	isolated []bool    // per-shard: no flow couples its pods this round
 	mergedR  []retirement
 
-	// Persistent phase bodies, bound once in SetShards. The hot loop
-	// hands runPhase these instead of fresh closures — a func literal
-	// with captures allocates at every evaluation, and the per-step
-	// due-collection and allocation closures were the last ~11k
-	// allocs/op separating the sharded Fig10 bench from serial. The
-	// per-round parameters travel through dueT / windowH instead of
-	// captures.
-	dueFn    func(int)
-	allocFn  func(int)
-	windowFn func(int)
-	dueT     float64 // collectDue's tNext for the round in flight
-	windowH  float64 // runLookahead's safe horizon for the round in flight
+	// Per-round phase parameters. Phase bodies are method expressions
+	// taking the engine as an argument, not closures: a func literal with
+	// captures allocates at every evaluation (the per-step closures cost
+	// ~11k allocs/op on the Fig10 bench), and a method value stored here
+	// would make the engine reachable from itself, which keeps an engine
+	// with a worker-pool finalizer from ever being collected.
+	dueT    float64 // collectDue's tNext for the round in flight
+	windowH float64 // runLookahead's safe horizon for the round in flight
 
 	// lookahead gates the window optimization for this run. It starts
 	// true and latches false if a clone ever declines inside a window
@@ -121,31 +118,24 @@ type shardedState struct {
 }
 
 // SetShards splits the engine into n per-partition event shards
-// coordinated by a conservative virtual-time barrier. n <= 1 restores
-// the serial legacy path (the zero value); n < 0 derives one shard per
-// fabric partition of the topology. Safe to call between steps, even
-// mid-run: projected completions migrate to their owning heaps. Flow
-// ownership is the fabric partition of the flow's source host folded
-// onto the shard count, so any n >= 2 is valid on any topology.
+// coordinated by a conservative virtual-time barrier. n < 0 derives one
+// shard per fabric partition of the topology; n = 0 and n = 1 both mean
+// one shard, the engine's initial state. Safe to call between steps,
+// even mid-run: projected completions migrate to their owning heaps.
+// Flow ownership is the fabric partition of the flow's source host
+// folded onto the shard count, so any n is valid on any topology.
 func (e *Engine) SetShards(n int) {
 	part := e.net.partition()
 	if n < 0 {
 		n = part.NumParts()
 	}
-	if n <= 1 {
-		if e.sh == nil {
-			return
-		}
-		old := e.sh
-		e.sh = nil
-		e.stopShards(old)
-		for _, s := range old.shards {
-			drainHeap(&s.completions, &e.completions)
-		}
-		retireShardGauges(old, 0)
-		return
+	if n < 1 {
+		n = 1
 	}
 	old := e.sh
+	if n == 1 && old != nil && len(old.shards) == 1 {
+		return // one shard already: no heap to migrate, no pool to stop
+	}
 	sh := &shardedState{
 		part:      part,
 		barrier:   sim.NewBarrier(n),
@@ -155,27 +145,20 @@ func (e *Engine) SetShards(n int) {
 	}
 	shardBuf := make([]engineShard, n) // one block, not n tiny allocations
 	for i := range sh.shards {
-		shardBuf[i].cands = make([]dueCand, 0, 32)
 		sh.shards[i] = &shardBuf[i]
 	}
 	sh.busy = make([]int, 0, n)
-	sh.merged = make([]dueCand, 0, 64)
 	for p := 0; p < part.NumParts(); p++ {
 		s := sh.shards[p%n]
 		s.pods = append(s.pods, int32(p))
 	}
-	sh.dueFn = e.collectShardDue
-	sh.allocFn = e.allocShardComps
-	sh.windowFn = e.runShardWindow
 	e.sh = sh // homeOf consults e.sh
 	if old != nil {
 		e.stopShards(old)
 		for _, s := range old.shards {
 			e.redistribute(&s.completions)
 		}
-		retireShardGauges(old, 0)
-	} else {
-		e.redistribute(&e.completions)
+		retireShardGauges(old)
 	}
 	// Per-shard active counts include stalled and zero-rate flows, which
 	// live on no heap; recount from the network.
@@ -196,7 +179,7 @@ func (e *Engine) SetShards(n int) {
 		if !e.poolFinalizer {
 			e.poolFinalizer = true
 			runtime.SetFinalizer(e, func(e *Engine) {
-				if e.sh != nil && e.sh.workers != nil {
+				if e.sh.workers != nil {
 					e.sh.workers.close()
 				}
 			})
@@ -212,13 +195,12 @@ func (e *Engine) stopShards(old *shardedState) {
 	}
 }
 
-// retireShardGauges drains the per-shard gauges of every shard with
-// index >= keep to zero, so a shard retired by a shrinking SetShards (or
-// a switch to the serial path) does not leak its last reading into the
-// telemetry snapshot forever.
-func retireShardGauges(old *shardedState, keep int) {
-	for i := keep; i < len(old.shards); i++ {
-		s := old.shards[i]
+// retireShardGauges drains the per-shard gauges of a replaced shard set
+// to zero, so a shard retired by a shrinking SetShards does not leak its
+// last reading into the telemetry snapshot forever; the shards that
+// survive rebind and republish.
+func retireShardGauges(old *shardedState) {
+	for _, s := range old.shards {
 		if s.gActive != nil {
 			s.gActive.Set(0)
 		}
@@ -230,8 +212,14 @@ func retireShardGauges(old *shardedState, keep int) {
 
 // bindShardGauges resolves the per-shard labeled gauges against the
 // engine's current registry and publishes the current readings. Called
-// from SetShards and SetTelemetry.
+// from SetShards and SetTelemetry. A one-shard engine binds none: the
+// engine-level gauges already carry the same reading, and registries
+// never release an instrument, so per-engine gauges add up in processes
+// that build thousands of short-lived engines.
 func (e *Engine) bindShardGauges() {
+	if len(e.sh.shards) < 2 {
+		return
+	}
 	for i, s := range e.sh.shards {
 		shard := strconv.Itoa(i)
 		s.gActive = e.tel.reg.Gauge(telemetry.Label("netsim.flows_active",
@@ -244,11 +232,8 @@ func (e *Engine) bindShardGauges() {
 }
 
 // noteShardFlow tracks the per-shard active-flow count as flows are
-// admitted and cancelled outside the step loops.
+// admitted, cancelled and retired.
 func (e *Engine) noteShardFlow(id FlowID, d int) {
-	if e.sh == nil {
-		return
-	}
 	s := e.sh.shards[e.homeOf(id)]
 	s.active += d
 	if s.gActive != nil {
@@ -256,25 +241,8 @@ func (e *Engine) noteShardFlow(id FlowID, d int) {
 	}
 }
 
-// Shards returns the number of event shards (1 = serial path).
-func (e *Engine) Shards() int {
-	if e.sh == nil {
-		return 1
-	}
-	return len(e.sh.shards)
-}
-
-// drainHeap pops every entry of src into dst, preserving keys.
-func drainHeap(src, dst *sim.IndexedHeap) {
-	for {
-		at, id, ok := src.Min()
-		if !ok {
-			return
-		}
-		src.Pop()
-		dst.Fix(id, at)
-	}
-}
+// Shards returns the number of event shards.
+func (e *Engine) Shards() int { return len(e.sh.shards) }
 
 // redistribute moves every entry of src onto its owner's shard heap.
 func (e *Engine) redistribute(src *sim.IndexedHeap) {
@@ -294,6 +262,9 @@ func (e *Engine) redistribute(src *sim.IndexedHeap) {
 // active — reroutes and stalls keep a flow on its home heap, and the
 // FlowID-recycling free list never changes a slot's owner mid-flight.
 func (e *Engine) homeOf(id FlowID) int {
+	if len(e.sh.shards) == 1 {
+		return 0 // skips a flow-table load on every admit and retire
+	}
 	p := int(e.sh.part.OfNode(e.net.flows[id].Src))
 	if p < 0 {
 		p = 0 // defensive: sources are hosts, never spine-layer nodes
@@ -301,41 +272,28 @@ func (e *Engine) homeOf(id FlowID) int {
 	return p % len(e.sh.shards)
 }
 
-// heapFix (re)keys a flow's projected completion on the owning heap —
-// the serial heap, or the flow's home shard heap in sharded mode. All
-// heap traffic outside the two step loops (reproject, cancel, link
-// failures) goes through these two helpers so both modes share the
-// recompute and fault machinery.
+// heapFix (re)keys a flow's projected completion on its home shard's
+// heap. All heap traffic outside the step loop and lookahead windows
+// (reproject, cancel, link failures) goes through these two helpers.
 func (e *Engine) heapFix(id FlowID, key float64) {
-	if e.sh != nil {
-		s := e.sh.shards[e.homeOf(id)]
-		s.completions.Fix(int(id), key)
-		if s.gHeap != nil {
-			s.gHeap.Set(float64(s.completions.Len())) // one atomic store
-		}
-		return
+	s := e.sh.shards[e.homeOf(id)]
+	s.completions.Fix(int(id), key)
+	if s.gHeap != nil {
+		s.gHeap.Set(float64(s.completions.Len())) // one atomic store
 	}
-	e.completions.Fix(int(id), key)
 }
 
-// heapRemove drops a flow's projection from the owning heap.
+// heapRemove drops a flow's projection from its home shard's heap.
 func (e *Engine) heapRemove(id FlowID) {
-	if e.sh != nil {
-		s := e.sh.shards[e.homeOf(id)]
-		s.completions.Remove(int(id))
-		if s.gHeap != nil {
-			s.gHeap.Set(float64(s.completions.Len()))
-		}
-		return
+	s := e.sh.shards[e.homeOf(id)]
+	s.completions.Remove(int(id))
+	if s.gHeap != nil {
+		s.gHeap.Set(float64(s.completions.Len()))
 	}
-	e.completions.Remove(int(id))
 }
 
 // heapLen is the total number of projected completions across heaps.
 func (e *Engine) heapLen() int {
-	if e.sh == nil {
-		return e.completions.Len()
-	}
 	n := 0
 	for _, s := range e.sh.shards {
 		n += s.completions.Len()
@@ -345,33 +303,29 @@ func (e *Engine) heapLen() int {
 
 // runPhase invokes fn for every listed shard — concurrently when more
 // than one has work, fanned across the persistent worker pool (inline
-// when the pool is absent: one schedulable core, or a single busy
-// shard).
-func (sh *shardedState) runPhase(busy []int, fn func(i int)) {
-	sh.workers.run(busy, fn)
+// when the pool is absent: one shard or one schedulable core, or a
+// single busy shard).
+func (e *Engine) runPhase(busy []int, fn func(e *Engine, i int)) {
+	e.sh.workers.run(e, busy, fn)
 }
 
-// stepSharded is the barrier-coordinated counterpart of step: shards
+// step performs one barrier round: reallocate if needed, then shards
 // propose their earliest projected completion, the clock advances to
 // the conservative minimum across shards and timers, and due
-// completions are collected per shard and applied in the serial
-// engine's exact (time, id) order. When the earliest event belongs to a
-// shard whose pods no cross-pod flow touches, the round instead runs
+// completions are collected per shard, applied in exact (time, id)
+// order, and their callbacks fired. When the earliest event belongs to
+// a shard whose pods no cross-pod flow touches, the round instead runs
 // bounded lookahead windows (lookahead.go): every such isolated shard
 // advances all its completions below the cross-shard horizon in one
 // barrier round-trip.
 //
-// Event accounting differs deliberately from the serial loop, which
-// counts one netsim.events per loop iteration no matter how many
-// completions the iteration retires in bulk. The sharded loop meters
-// the discrete events themselves — completions retired plus timers
-// fired, minimum one per barrier round — so events/s measures
-// simulation throughput rather than iteration count. The bench cells
-// note the same caveat where the two modes are compared.
-func (e *Engine) stepSharded(horizon float64) error {
+// netsim.events meters the discrete events themselves — completions
+// retired plus timers fired, minimum one per round — so events/s
+// measures simulation throughput at every shard count.
+func (e *Engine) step(horizon float64) error {
 	sh := e.sh
 	if e.dirty {
-		e.recomputeSharded()
+		e.recompute()
 		e.dirty = false
 		e.tel.rateRecomputes.Inc()
 		e.observeUtilization()
@@ -427,8 +381,9 @@ func (e *Engine) stepSharded(horizon float64) error {
 		e.OnAdvance(e, t0, tNext)
 	}
 
-	e.collectDue(tNext)
-	for _, id := range e.done {
+	due := e.collectDue(tNext)
+	for _, c := range due {
+		id := FlowID(c.id)
 		fn := e.takeDone(id)
 		f, err := e.net.Flow(id)
 		if err != nil {
@@ -446,9 +401,10 @@ func (e *Engine) stepSharded(horizon float64) error {
 			fn(e, id)
 		}
 	}
-	completions := len(e.done)
+	completions := len(due)
 	if completions > 0 {
 		e.tel.flowsActive.Set(float64(e.net.NumActive()))
+		e.tel.heapSize.Set(float64(e.heapLen()))
 		for _, i := range sh.busy {
 			s := sh.shards[i]
 			if s.gHeap != nil {
@@ -475,22 +431,9 @@ func (e *Engine) stepSharded(horizon float64) error {
 	return nil
 }
 
-// collectDue gathers every flow due by tNext into e.done in the exact
-// order the serial pop loop would produce. Each shard pops its heap
-// while the due predicate passes and records the first (key, id) that
-// fails; the globally first failure — the lexicographic minimum across
-// shards — is where the serial loop would have stopped, because every
-// element ordered before it passes the predicate (the predicate is
-// intrinsic to the flow, not to pop order). Candidates at or beyond the
-// stop are re-inserted with their original keys (the indexed heap's
-// order is a pure function of (key, id), so the re-insert is observably
-// identical), and the survivors — merged and sorted by (key, id) —
-// reproduce the serial completion sequence, and with it the callback
-// and FlowID-recycling order.
-// collectShardDue is the per-shard due-collection phase body (bound to
-// sh.dueFn): pop every projected completion at or before sh.dueT — by
-// the serial engine's slack predicate — into the shard's candidate
-// list, recording the first survivor as the shard's stop marker.
+// collectShardDue is the per-shard due-collection phase body: pop every projected completion at or before sh.dueT — by
+// the completion-slack predicate — into the shard's candidate list,
+// recording the first survivor as the shard's stop marker.
 func (e *Engine) collectShardDue(i int) {
 	sh := e.sh
 	tNext := sh.dueT
@@ -513,7 +456,19 @@ func (e *Engine) collectShardDue(i int) {
 	}
 }
 
-func (e *Engine) collectDue(tNext float64) {
+// collectDue returns every flow due by tNext, marked finished, in the
+// exact order one merged heap would pop them. Each shard pops its heap while
+// the due predicate passes and records the first (key, id) that fails;
+// the globally first failure — the lexicographic minimum across shards
+// — is where a single heap would have stopped, because every element
+// ordered before it passes the predicate (the predicate is intrinsic to
+// the flow, not to pop order). Candidates at or beyond the stop are
+// re-inserted with their original keys (the indexed heap's order is a
+// pure function of (key, id), so the re-insert is observably
+// identical), and the survivors — merged and sorted by (key, id) — fix
+// the completion sequence, and with it the callback and FlowID-recycling
+// order, independently of the shard count.
+func (e *Engine) collectDue(tNext float64) []dueCand {
 	sh := e.sh
 	sh.busy = sh.busy[:0]
 	for i, s := range sh.shards {
@@ -522,8 +477,29 @@ func (e *Engine) collectDue(tNext float64) {
 		}
 	}
 	sh.dueT = tNext
-	sh.runPhase(sh.busy, sh.dueFn)
+	e.runPhase(sh.busy, (*Engine).collectShardDue)
+	if len(sh.busy) == 0 {
+		return nil
+	}
+	// With one heap popped, its own stop is the global one and its
+	// candidates are already in (key, id) order: no merge needed.
+	due := sh.shards[sh.busy[0]].cands
+	if len(sh.busy) > 1 {
+		due = e.mergeDue()
+	}
+	for _, c := range due {
+		f := &e.net.flows[c.id]
+		f.Remaining = 0
+		f.lastSet = tNext
+	}
+	return due
+}
 
+// mergeDue applies the global stop to the busy shards' candidates,
+// re-inserting the ones at or past it, and returns the survivors sorted
+// by (key, id).
+func (e *Engine) mergeDue() []dueCand {
+	sh := e.sh
 	stopAt, stopID := math.Inf(1), 0
 	for _, i := range sh.busy {
 		s := sh.shards[i]
@@ -536,7 +512,7 @@ func (e *Engine) collectDue(tNext float64) {
 		s := sh.shards[i]
 		for _, c := range s.cands {
 			if c.at > stopAt || (c.at == stopAt && c.id >= stopID) {
-				s.completions.Fix(c.id, c.at) // past the serial stop: put back
+				s.completions.Fix(c.id, c.at) // past the merged stop: put back
 				continue
 			}
 			sh.merged = append(sh.merged, c)
@@ -552,23 +528,12 @@ func (e *Engine) collectDue(tNext float64) {
 			return a.id - b.id
 		}
 	})
-	e.done = e.done[:0]
-	for _, c := range sh.merged {
-		f := &e.net.flows[c.id]
-		f.Remaining = 0
-		f.lastSet = tNext
-		e.done = append(e.done, FlowID(c.id))
-	}
+	return sh.merged
 }
 
-// recomputeSharded routes the dirty components to their owning shards'
-// allocator clones and runs the shards' allocations concurrently. It
-// falls back to the serial recompute — which already routes heap
-// updates through the shard heaps — whenever scoping is off for this
-// round, the allocator cannot be cloned, or a clone declines.
-// allocShardComps is the per-shard allocation phase body (bound to
-// sh.allocFn): run the shard's clone over each component assigned to
-// it this recompute, flagging a decline for the coordinator.
+// allocShardComps is the per-shard allocation phase body: run the
+// shard's clone over each component assigned to it this recompute,
+// flagging a decline for the coordinator.
 func (e *Engine) allocShardComps(i int) {
 	sh := e.sh
 	s := sh.shards[i]
@@ -581,8 +546,15 @@ func (e *Engine) allocShardComps(i int) {
 	}
 }
 
-func (e *Engine) recomputeSharded() {
+// recompute re-rates the flows affected by the accumulated flow-set
+// changes and re-projects their completion times. With scoping in
+// force, the dirty components are routed to their owning shards'
+// allocator clones and allocated concurrently. It falls back to the
+// union path whenever scoping is off for this round, the allocator
+// cannot be cloned, or a clone declines.
+func (e *Engine) recompute() {
 	sh := e.sh
+	now := e.clock.Now()
 	scoped := !e.full && !e.dirtyAll
 	if scoped {
 		// Clones derive lazily, at the first recompute that can actually
@@ -591,27 +563,19 @@ func (e *Engine) recomputeSharded() {
 		sh.ensureClones(e.alloc)
 	}
 	if !scoped || !sh.clones {
-		e.recompute()
+		e.recomputeUnion(now, scoped)
 		return
 	}
-	now := e.clock.Now()
 	// Pre-size each shard's heap for its active population before the
-	// re-projections below re-key them one Fix at a time. The floor
-	// skips the first few doubling steps of a population growing from
-	// near zero — a handful of kilobytes per shard buys allocation-free
-	// ramp-up in workloads that add flows in waves.
+	// re-projections below re-key them one Fix at a time.
 	for _, s := range sh.shards {
-		n := s.active
-		if n < 256 {
-			n = 256
-		}
-		s.completions.Grow(len(e.net.flows)-1, n)
+		s.completions.Grow(len(e.net.flows)-1, s.active)
 	}
 	e.splitDirty()
 	e.saveOldRates()
 	if len(e.ids) == 0 {
-		// Mirror the serial no-op: shardable disciplines accept an empty
-		// scope without observable side effects, so nothing runs.
+		// Shardable disciplines accept an empty scope without observable
+		// side effects (the union path's no-op), so nothing runs.
 		e.reproject(now)
 		e.clearSeeds()
 		return
@@ -635,7 +599,7 @@ func (e *Engine) recomputeSharded() {
 		}
 		s.comps = append(s.comps, c)
 	}
-	sh.runPhase(sh.busy, sh.allocFn)
+	e.runPhase(sh.busy, (*Engine).allocShardComps)
 	declined := false
 	for _, i := range sh.busy {
 		declined = declined || sh.shards[i].declined
@@ -644,7 +608,7 @@ func (e *Engine) recomputeSharded() {
 		// A clone declined mid-way (no shardable discipline does today,
 		// but the contract allows it): undo any partial rate writes — the
 		// union's saved rates cover every flow a clone may have touched —
-		// then widen to the full active set exactly like the serial path.
+		// then widen to the full active set exactly like the union path.
 		for i, id := range e.ids {
 			e.net.flows[id].Rate = e.oldRates[i]
 		}
@@ -659,14 +623,47 @@ func (e *Engine) recomputeSharded() {
 	e.clearSeeds()
 }
 
+// recomputeUnion is recompute's fallback: the whole dirty set in one
+// allocator call. It serves full recomputes, allocator swaps and
+// reconfigurations (dirtyAll), and disciplines that cannot be cloned
+// (Homa, Sincronia, a channel-publishing Decentral). A scoped round
+// hands the allocator the union of the dirty components in ascending
+// FlowID order, as the AllocateScoped contract requires; an empty set is
+// still offered, because separable disciplines accept it as a no-op (no
+// link they bill changed) while decliners like Homa must re-rank the
+// whole network on every change — exactly what the widened path does.
+func (e *Engine) recomputeUnion(now float64, scoped bool) {
+	if scoped {
+		e.splitDirty()
+		slices.Sort(e.ids)
+	} else {
+		e.ids = e.net.ActiveInto(e.ids[:0])
+	}
+	e.saveOldRates()
+	if !e.alloc.AllocateScoped(e.net, e.ids) {
+		if scoped {
+			// Allocator declined: widen to the full active set.
+			e.ids = e.net.ActiveInto(e.ids[:0])
+			e.saveOldRates()
+			scoped = false
+		}
+		e.alloc.Allocate(e.net)
+	} else if scoped && len(e.ids) > 0 {
+		e.tel.scopedRecomputes.Inc()
+		e.tel.dirtyFlows.Add(uint64(len(e.ids)))
+	}
+	e.reproject(now)
+	e.clearSeeds()
+}
+
 // ensureClones (re)derives per-shard allocator clones when the engine's
 // allocator changed since the last recompute, pooling previously
 // derived clone sets so an allocator swapped back in reuses its clones
 // (and their internal caches and scratch) instead of rebuilding them.
 // Without a worker pool the shards simply share the parent allocator. A
 // nil clone marks the allocator (or its current configuration)
-// non-shardable; component allocation then stays on the serial union
-// path while the sharded event loop keeps running. Non-shardable
+// non-shardable; component allocation then stays on the union path
+// while the sharded event loop keeps running. Non-shardable
 // outcomes are deliberately not cached: a configuration change (e.g. a
 // Decentral channel detach) can make the same allocator shardable
 // later.
@@ -733,15 +730,14 @@ func (sh *shardedState) ensureClones(alloc Allocator) {
 // splitDirty expands the recompute seeds (dirty links and flows)
 // directly into their link-connected components in one traversal: e.ids
 // holds every component's flows contiguously (each sorted ascending)
-// and compOff the boundaries. The expansion rules are dirtyComponent's
-// exactly — inactive seed flows are skipped, detached stalled flows
-// seed their last known path — so the concatenation of the parts is
-// always exactly the union the serial path would compute, without
-// paying a second traversal over it or a union-wide sort (the serial
-// recompute needs the union globally sorted because it hands the whole
-// thing to one AllocateScoped call; here every consumer of e.ids either
-// pairs it positionally with oldRates or slices it per component, and
-// the allocator contract only requires each component ascending).
+// and compOff the boundaries. Inactive seed flows are skipped and
+// detached stalled flows seed their last known path, so the
+// concatenation of the parts is exactly the dirty union. The per-shard
+// path needs no union-wide sort: every consumer of e.ids either pairs
+// it positionally with oldRates or slices it per component, and the
+// allocator contract only requires each component ascending. The union
+// path, which hands the whole set to one AllocateScoped call, sorts it
+// once.
 //
 // Seed order is deterministic, so discovery order — and with it the
 // component list — is too. Component order across shards is free:

@@ -2,17 +2,23 @@ package netsim
 
 import (
 	"math"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"saba/internal/telemetry"
 	"saba/internal/topology"
 )
 
-// The sharded differential gate: for every allocator, the sharded
-// engine (per-pod heaps, allocator clones, barrier-coordinated due
-// collection) must produce bit-for-bit the completion times of the
-// serial engine — with and without a link-flap schedule, and with a
-// shard count that both matches and exceeds the pod count.
+// The sharded differential gate: for every allocator, the event loop at
+// every shard count (per-pod heaps, allocator clones, barrier-coordinated
+// due collection, lookahead windows) must produce bit-for-bit the
+// completion times of the full-recompute reference — one shard,
+// SetFullRecompute(true): no scoping, no clones, no lookahead windows —
+// with and without a link-flap schedule, and with shard counts of one,
+// one per pod, and more than the pod count.
 
 func assertSameVector(t *testing.T, ctx string, want, got []float64) {
 	t.Helper()
@@ -21,12 +27,14 @@ func assertSameVector(t *testing.T, ctx string, want, got []float64) {
 	}
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Errorf("%s admission %d: completion %v (serial) vs %v (sharded); diff %g",
+			t.Errorf("%s admission %d: completion %v (reference) vs %v; diff %g",
 				ctx, i, want[i], got[i], got[i]-want[i])
 		}
 	}
 }
 
+// The name predates the one-loop engine, when the reference was a
+// separate serial event loop.
 func TestDifferentialShardedMatchesSerial(t *testing.T) {
 	allocators := []string{"ideal-maxmin", "fecn", "wfq", "homa", "sincronia", "decentral"}
 	shardable := map[string]bool{"ideal-maxmin": true, "fecn": true, "wfq": true, "decentral": true}
@@ -35,16 +43,22 @@ func TestDifferentialShardedMatchesSerial(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			scopedEngaged := false
 			for seed := int64(1); seed <= 3; seed++ {
-				serialReg := telemetry.NewRegistry()
+				refReg := telemetry.NewRegistry()
+				oneReg := telemetry.NewRegistry()
 				shardReg := telemetry.NewRegistry()
 				oddReg := telemetry.NewRegistry()
-				want := runDifferentialScenario(t, name, seed, false, serialReg, false, 0)
+				want := runDifferentialScenario(t, name, seed, true, refReg, false, 1)
+				one := runDifferentialScenario(t, name, seed, false, oneReg, false, 1)
 				got := runDifferentialScenario(t, name, seed, false, shardReg, false, -1)
 				// A shard count exceeding the pod count folds ownership via
 				// modulo; the result must not change.
 				odd := runDifferentialScenario(t, name, seed, false, oddReg, false, 5)
-				assertSameVector(t, name, want, got)
+				assertSameVector(t, name+" shards=1", want, one)
+				assertSameVector(t, name+" shards=per-pod", want, got)
 				assertSameVector(t, name+" shards=5", want, odd)
+				if refReg.Counter("netsim.scoped_recomputes").Value() != 0 {
+					t.Errorf("seed %d: the full-recompute reference ran scoped recomputes", seed)
+				}
 				if shardReg.Counter("netsim.scoped_recomputes").Value() > 0 {
 					scopedEngaged = true
 				}
@@ -65,11 +79,14 @@ func TestDifferentialShardedWithFlaps(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
-				serialReg := telemetry.NewRegistry()
+				refReg := telemetry.NewRegistry()
+				oneReg := telemetry.NewRegistry()
 				shardReg := telemetry.NewRegistry()
-				want := runDifferentialScenario(t, name, seed, false, serialReg, true, 0)
+				want := runDifferentialScenario(t, name, seed, true, refReg, true, 1)
+				one := runDifferentialScenario(t, name, seed, false, oneReg, true, 1)
 				got := runDifferentialScenario(t, name, seed, false, shardReg, true, -1)
-				assertSameVector(t, name, want, got)
+				assertSameVector(t, name+" shards=1", want, one)
+				assertSameVector(t, name+" shards=per-pod", want, got)
 				if shardReg.Counter("netsim.link_failures").Value() == 0 {
 					t.Errorf("seed %d: flap schedule failed no links", seed)
 				}
@@ -78,25 +95,27 @@ func TestDifferentialShardedWithFlaps(t *testing.T) {
 	}
 }
 
-// Sharded mode must also reproduce the FULL-recompute engine exactly:
-// the union fallback path (dirtyAll, non-shardable configurations)
-// shares its code, so one allocator with flaps suffices here.
+// Full recompute must also be independent of the shard count: the
+// reference's union path runs unchanged over per-pod heaps, so one
+// allocator with flaps suffices here.
 func TestDifferentialShardedFullRecompute(t *testing.T) {
-	serialReg := telemetry.NewRegistry()
+	refReg := telemetry.NewRegistry()
 	shardReg := telemetry.NewRegistry()
-	want := runDifferentialScenario(t, "ideal-maxmin", 2, true, serialReg, true, 0)
+	want := runDifferentialScenario(t, "ideal-maxmin", 2, true, refReg, true, 1)
 	got := runDifferentialScenario(t, "ideal-maxmin", 2, true, shardReg, true, -1)
 	assertSameVector(t, "full-recompute", want, got)
 }
 
-// SetShards mid-run migrates projected completions between the serial
-// and shard heaps without disturbing the outcome.
+// SetShards mid-run migrates projected completions between shard heaps
+// without disturbing the outcome.
 func TestSetShardsMidRunMigration(t *testing.T) {
 	run := func(reshard bool) []float64 {
 		top := diffFabric(t)
 		net := NewNetwork(top)
 		e := NewEngine(net, NewIdealMaxMin(net))
 		e.SetTelemetry(telemetry.NewRegistry())
+		// The reference run re-rates everything after every change.
+		e.SetFullRecompute(!reshard)
 		hosts := top.Hosts()
 		var done []float64
 		for i := 0; i < 24; i++ {
@@ -117,8 +136,9 @@ func TestSetShardsMidRunMigration(t *testing.T) {
 			}
 		}
 		if reshard {
-			// Flip serial → sharded → serial → sharded while flows are in
-			// flight; each flip migrates the projected completions.
+			// Flip one shard → per-pod → one shard → three shards while
+			// flows are in flight; each flip migrates the projected
+			// completions.
 			for i, n := range []int{-1, 1, 3} {
 				n := n
 				if err := e.At(0.05+0.1*float64(i), func(e *Engine) { e.SetShards(n) }); err != nil {
@@ -171,21 +191,63 @@ func TestEngineGaugesCarryEngineLabel(t *testing.T) {
 	if unlabeled.Value() != 0 {
 		t.Errorf("unlabeled flows_active gauge written: %v", unlabeled.Value())
 	}
-	if err := e1.Run(math.Inf(1)); err != nil {
+	// e1's first step projects its one flow (a timer stops it well
+	// before the completion): its labeled heap gauge is written while
+	// e2's (and the unlabeled name) never are.
+	stop := false
+	if err := e1.At(1e-6, func(*Engine) { stop = true }); err != nil {
 		t.Fatal(err)
 	}
-	// e1's run projected its one flow: its labeled heap gauge was written
-	// while e2's (and the unlabeled name) never were.
+	if err := e1.RunUntil(math.Inf(1), func() bool { return stop }); err != nil {
+		t.Fatal(err)
+	}
 	h1 := reg.Gauge(telemetry.Label("netsim.completion_heap_size", "engine", e1.engineID))
 	h2 := reg.Gauge(telemetry.Label("netsim.completion_heap_size", "engine", e2.engineID))
 	if h1.Value() != 1 {
-		t.Errorf("e1 heap gauge = %v, want 1 (its single projected flow)", h1.Value())
+		t.Errorf("e1 heap gauge = %v after the first step, want 1 (its single projected flow)", h1.Value())
+	}
+	if err := e1.Run(math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if h1.Value() != 0 {
+		t.Errorf("e1 heap gauge = %v after Run, want 0 (its only flow completed)", h1.Value())
 	}
 	if h2.Value() != 0 {
 		t.Errorf("e2 heap gauge = %v, want 0 (e2 never stepped)", h2.Value())
 	}
 	if reg.Gauge("netsim.completion_heap_size").Value() != 0 {
 		t.Errorf("unlabeled completion_heap_size gauge written")
+	}
+}
+
+// A one-shard engine registers no per-shard gauges: its engine-level
+// gauges carry the same readings, and registries never release an
+// instrument, so processes that build thousands of engines would
+// accumulate two dead gauges per engine.
+func TestOneShardEngineRegistersNoShardGauges(t *testing.T) {
+	top := diffFabric(t)
+	net := NewNetwork(top)
+	e := NewEngine(net, NewIdealMaxMin(net))
+	reg := telemetry.NewRegistry()
+	e.SetTelemetry(reg)
+	e.SetShards(1)
+	hosts := top.Hosts()
+	for i := 0; i < 6; i++ {
+		if _, err := e.AddFlow(FlowSpec{Src: hosts[i], Dst: hosts[len(hosts)-1-i], Bits: 1e6}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Run(math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["netsim.flow_completions"] != 6 {
+		t.Fatalf("flow_completions = %d, want 6", snap.Counters["netsim.flow_completions"])
+	}
+	for name := range snap.Gauges {
+		if strings.Contains(name, "shard=") {
+			t.Errorf("one-shard engine registered per-shard gauge %s", name)
+		}
 	}
 }
 
@@ -229,5 +291,46 @@ func TestShardOwnershipFollowsSourcePod(t *testing.T) {
 		if !e.sh.shards[want].completions.Contains(int(id)) {
 			t.Errorf("flow %d (src pod %d) not on its home shard heap", id, want)
 		}
+	}
+}
+
+// Engines that ran on a worker pool must be garbage collected, both when
+// SetShards(1) released the pool and when the engine was dropped with
+// the pool still running (the finalizer backstop). An engine reachable
+// from its own shard state would never be finalized, leaking its whole
+// network with every run.
+func TestShardedEngineIsCollected(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2) // a pool needs two schedulable slots
+	defer runtime.GOMAXPROCS(prev)
+	const engines = 6
+	var freed atomic.Int32
+	for i := 0; i < engines; i++ {
+		top := diffFabric(t)
+		net := NewNetwork(top)
+		runtime.SetFinalizer(net, func(*Network) { freed.Add(1) })
+		e := NewEngine(net, NewIdealMaxMin(net))
+		e.SetTelemetry(telemetry.NewRegistry())
+		e.SetShards(-1)
+		hosts := top.Hosts()
+		for j := 0; j < 8; j++ {
+			if _, err := e.AddFlow(FlowSpec{Src: hosts[j], Dst: hosts[(j+5)%len(hosts)], Bits: 1e6}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Run(math.Inf(1)); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			e.SetShards(1)
+		}
+	}
+	// The engine's finalizer runs after one collection and frees the
+	// network for the next, so allow a few cycles.
+	for try := 0; try < 50 && freed.Load() < engines; try++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := freed.Load(); got != engines {
+		t.Errorf("%d of %d dropped engines were collected", got, engines)
 	}
 }

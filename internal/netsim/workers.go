@@ -16,11 +16,11 @@ import (
 // so a step costs two synchronization points: the fan-out sends and one
 // latch wait.
 //
-// Workers hold no reference to the Engine between phases — the phase
-// closure is published before the wakes and cleared after the join — so
-// an abandoned engine becomes unreachable as soon as the caller drops
-// it; a finalizer then closes stop and the goroutines exit. SetShards
-// also stops the pool explicitly when resharding or going serial, so
+// Workers hold no reference to the Engine between phases — the engine
+// and phase body are published before the wakes and cleared after the
+// join — so an abandoned engine becomes unreachable as soon as the
+// caller drops it; a finalizer then closes stop and the goroutines exit. SetShards
+// also stops the pool explicitly when resharding, so
 // finalization is only the backstop for engines dropped mid-run.
 type shardWorkers struct {
 	wake  []chan struct{} // one mailbox per worker
@@ -31,7 +31,8 @@ type shardWorkers struct {
 	// channel send is the happens-before edge) and cleared after the
 	// latch join. lists[w] holds the shard indices worker w runs this
 	// phase.
-	fn    func(i int)
+	e     *Engine
+	fn    func(e *Engine, i int)
 	lists [][]int
 }
 
@@ -57,9 +58,9 @@ func (sw *shardWorkers) worker(w int) {
 		case <-sw.stop:
 			return
 		case <-sw.wake[w]:
-			fn := sw.fn
+			e, fn := sw.e, sw.fn
 			for _, i := range sw.lists[w] {
-				fn(i)
+				fn(e, i)
 			}
 			sw.latch.Arrive()
 		}
@@ -73,15 +74,15 @@ func (sw *shardWorkers) close() {
 	close(sw.stop)
 }
 
-// run executes fn(i) for every shard index in busy, fanning the list
+// run executes fn(e, i) for every shard index in busy, fanning the list
 // across the parked workers. The calling goroutine runs the first
 // worker's share inline so a phase never pays for more wake-ups than it
 // has remote workers; with one busy shard (or no pool) everything stays
 // inline and the phase is synchronization-free.
-func (sw *shardWorkers) run(busy []int, fn func(i int)) {
+func (sw *shardWorkers) run(e *Engine, busy []int, fn func(e *Engine, i int)) {
 	if len(busy) <= 1 || sw == nil {
 		for _, i := range busy {
-			fn(i)
+			fn(e, i)
 		}
 		return
 	}
@@ -96,16 +97,16 @@ func (sw *shardWorkers) run(busy []int, fn func(i int)) {
 		w := k % n
 		sw.lists[w] = append(sw.lists[w], i)
 	}
-	sw.fn = fn
+	sw.e, sw.fn = e, fn
 	sw.latch.Start(n - 1)
 	for w := 1; w < n; w++ {
 		sw.wake[w] <- struct{}{}
 	}
 	for _, i := range sw.lists[0] {
-		fn(i)
+		fn(e, i)
 	}
 	sw.latch.Wait()
-	sw.fn = nil
+	sw.e, sw.fn = nil, nil
 }
 
 // poolSize is the worker count for a shard count: one schedulable slot

@@ -1,8 +1,7 @@
 // Package telemetry is Saba's dependency-free observability substrate:
 // a Registry of named counters, gauges and log-bucketed histograms with
-// a lock-free hot path, lightweight spans for timing control-plane
-// operations, diffable JSON snapshots, and an HTTP debug endpoint that
-// serves Prometheus text format alongside expvar and pprof.
+// a lock-free hot path, diffable JSON snapshots, and an HTTP debug
+// endpoint that serves Prometheus text format alongside expvar and pprof.
 //
 // Design rules:
 //
@@ -13,10 +12,10 @@
 //   - Instruments are write-mostly; Snapshot and the Prometheus writer
 //     read the same atomics, so scraping never perturbs the measured
 //     system beyond cache traffic.
-//   - Time is injectable: wall-clock spans (RPC latency) and sim-clock
-//     spans (flow and stage durations in virtual seconds) share one
-//     instrument type, so simulated telemetry stays deterministic under
-//     fixed seeds.
+//   - Histograms take durations from their callers: wall-clock ones
+//     (RPC latency) and virtual-time ones (flow durations in simulated
+//     seconds) share one instrument type, so simulated telemetry stays
+//     deterministic under fixed seeds.
 //
 // Naming convention (documented in DESIGN.md §7): dotted lowercase
 // "<layer>.<subsystem>.<metric>", e.g. "rpc.client.call_seconds".
@@ -30,30 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// Clock provides timestamps in seconds. Wall and simulated time both
-// implement it, so one span type times RPC round trips (wall) and flow
-// or stage durations (virtual) alike.
-type Clock interface {
-	Now() float64
-}
-
-// WallClock reads the process monotonic clock, in seconds.
-type WallClock struct{}
-
-var processStart = time.Now()
-
-// Now implements Clock.
-func (WallClock) Now() float64 { return time.Since(processStart).Seconds() }
-
-// ClockFunc adapts a function to the Clock interface — the hook the
-// simulator uses to expose its virtual clock.
-type ClockFunc func() float64
-
-// Now implements Clock.
-func (f ClockFunc) Now() float64 { return f() }
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
@@ -167,35 +143,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Span times one control-plane operation: StartSpan stamps the begin
-// time, End observes the elapsed duration into the span's histogram.
-// Span is a value type — starting and ending a span allocates nothing.
-type Span struct {
-	h     *Histogram
-	clock Clock
-	start float64
-}
-
-// StartSpan begins a span that will record into the histogram `name` on
-// End. A nil clock selects wall time.
-func (r *Registry) StartSpan(name string, clock Clock) Span {
-	if clock == nil {
-		clock = WallClock{}
-	}
-	return Span{h: r.Histogram(name), clock: clock, start: clock.Now()}
-}
-
-// End records the elapsed time and returns it in seconds. End on a zero
-// Span is a no-op returning 0.
-func (s Span) End() float64 {
-	if s.h == nil {
-		return 0
-	}
-	d := s.clock.Now() - s.start
-	s.h.Observe(d)
-	return d
 }
 
 // Label folds label pairs into an instrument name, producing the

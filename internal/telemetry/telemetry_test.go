@@ -76,25 +76,6 @@ func TestHistogramBucketMonotone(t *testing.T) {
 	}
 }
 
-func TestSpanUsesClock(t *testing.T) {
-	r := NewRegistry()
-	now := 10.0
-	clock := ClockFunc(func() float64 { return now })
-	sp := r.StartSpan("op", clock)
-	now = 12.5
-	if d := sp.End(); d != 2.5 {
-		t.Fatalf("span duration = %g, want 2.5", d)
-	}
-	h := r.Histogram("op")
-	if h.Count() != 1 || h.Sum() != 2.5 {
-		t.Fatalf("span histogram count=%d sum=%g", h.Count(), h.Sum())
-	}
-	var zero Span
-	if d := zero.End(); d != 0 {
-		t.Fatalf("zero span End = %g, want 0", d)
-	}
-}
-
 func TestLabelCanonical(t *testing.T) {
 	a := Label("m", "b", "2", "a", "1")
 	b := Label("m", "a", "1", "b", "2")
