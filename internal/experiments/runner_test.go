@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -48,20 +49,39 @@ func TestSerialParallelExperimentsIdentical(t *testing.T) {
 	})
 
 	t.Run("Fig8", func(t *testing.T) {
-		SetParallelism(1)
-		serial, err := Fig8(3, DefaultSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		SetParallelism(4)
-		parallel, err := Fig8(3, DefaultSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial, parallel := fig8At(t, 1), fig8At(t, 4)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("Fig8 diverges:\nserial   %+v\nparallel %+v", serial, parallel)
 		}
 	})
+}
+
+// fig8Runs memoizes Fig8(3, DefaultSeed) at parallelism 1 and 4. The
+// study dominates this package's test time, and both the Fig8
+// differential above and TestFig8SmallRun need the serial result.
+var fig8Runs [2]struct {
+	once sync.Once
+	r    *Fig8Result
+	err  error
+}
+
+// fig8At returns Fig8(3, DefaultSeed) computed at parallelism par (1 or
+// 4), computing each at most once per test binary.
+func fig8At(t *testing.T, par int) *Fig8Result {
+	t.Helper()
+	run := &fig8Runs[0]
+	if par != 1 {
+		run = &fig8Runs[1]
+	}
+	run.once.Do(func() {
+		SetParallelism(par)
+		defer SetParallelism(0)
+		run.r, run.err = Fig8(3, DefaultSeed)
+	})
+	if run.err != nil {
+		t.Fatal(run.err)
+	}
+	return run.r
 }
 
 func TestRunCellsExecutesEverySlot(t *testing.T) {

@@ -35,8 +35,12 @@ type Allocator interface {
 // engine phases) but owns all scratch and caches, or nil when the
 // current configuration cannot be sharded (e.g. Decentral with a
 // telemetry channel attached, whose publish sequence must match the
-// full-recompute reference exactly). Globally-coupled disciplines (Homa, Sincronia)
-// simply do not implement the interface.
+// full-recompute reference exactly). Clones accept every component:
+// AllocateScoped on a clone (or on the parent, which stands in for its
+// clones when the engine has no worker pool) returns true, and the
+// engine panics, naming the allocator, if one declines.
+// Globally-coupled disciplines (Homa, Sincronia) simply do not
+// implement the interface.
 type ShardableAllocator interface {
 	Allocator
 	ShardClone() Allocator

@@ -137,23 +137,23 @@ type Engine struct {
 	// virtual-time barrier. Never nil; see shard.go.
 	sh *shardedState
 
-	// Recompute scratch, reused across steps. epoch is atomic because
-	// lookahead windows run component traversals concurrently (per-shard
-	// linkSeen arrays, shared flowSeen with owner-only writes) and draw
-	// their epochs from the same counter as the coordinator's phases.
-	ids      []FlowID  // flows handed to the allocator last recompute
-	oldRates []float64 // parallel to ids: rates before the recompute
-	linkSeen []int64   // epoch marks for the component BFS
+	// Recompute scratch, reused across steps: the coordinator's component
+	// walk (scope.go) and the flow marks every walk shares. epoch is
+	// atomic because lookahead windows walk concurrently and draw their
+	// epochs from the same counter as the coordinator.
+	walk     scopeWalk
 	flowSeen []int64
 	epoch    atomic.Int64
-	stack    []topology.LinkID // BFS worklist
 
 	// Completion-callback accounting for the lookahead gate: windows
 	// reorder when callbacks run relative to other shards' simulation
 	// work, which is only safe when every registered callback is pure
 	// (PureCallbacks) or none is registered at all (onDoneCount == 0).
+	// inPure is set while a callback declared pure runs; mutating
+	// methods panic then.
 	onDoneCount   int
 	pureCallbacks bool
+	inPure        bool
 	poolFinalizer bool // worker-pool cleanup finalizer registered
 
 	// Stalled-flow tracking: flows parked with no live path after a link
@@ -206,7 +206,10 @@ func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
 // entire network on the parent allocator, and no lookahead window opens.
 // It is the reference the differential tests compare every scoped and
 // sharded configuration against, bit for bit.
-func (e *Engine) SetFullRecompute(full bool) { e.full = full }
+func (e *Engine) SetFullRecompute(full bool) {
+	e.mutating("SetFullRecompute")
+	e.full = full
+}
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.clock.Now() }
@@ -220,6 +223,7 @@ func (e *Engine) Allocator() Allocator { return e.alloc }
 // SetAllocator swaps the bandwidth-sharing discipline; rates are
 // recomputed on the next step.
 func (e *Engine) SetAllocator(a Allocator) {
+	e.mutating("SetAllocator")
 	e.alloc = a
 	e.dirty = true
 	e.dirtyAll = true
@@ -229,12 +233,14 @@ func (e *Engine) SetAllocator(a Allocator) {
 // out-of-band configuration changes such as new WFQ weights, which can
 // shift rates on links no flow was added to or removed from).
 func (e *Engine) MarkDirty() {
+	e.mutating("MarkDirty")
 	e.dirty = true
 	e.dirtyAll = true
 }
 
 // AddFlow activates a flow; onDone (optional) fires when it completes.
 func (e *Engine) AddFlow(spec FlowSpec, onDone func(*Engine, FlowID)) (FlowID, error) {
+	e.mutating("AddFlow")
 	id, err := e.net.AddFlow(e.Now(), spec)
 	if err != nil {
 		return 0, err
@@ -255,6 +261,7 @@ func (e *Engine) AddFlow(spec FlowSpec, onDone func(*Engine, FlowID)) (FlowID, e
 // flows for the cost of one allocator invocation instead of one per
 // flow. onDone (optional) fires once per completing flow.
 func (e *Engine) AddFlows(specs []FlowSpec, onDone func(*Engine, FlowID)) ([]FlowID, error) {
+	e.mutating("AddFlows")
 	ids, err := e.net.AddFlows(e.Now(), specs)
 	if err != nil {
 		return nil, err
@@ -274,6 +281,7 @@ func (e *Engine) AddFlows(specs []FlowSpec, onDone func(*Engine, FlowID)) ([]Flo
 
 // CancelFlow removes a flow without firing its completion callback.
 func (e *Engine) CancelFlow(id FlowID) error {
+	e.mutating("CancelFlow")
 	f, err := e.net.Flow(id)
 	if err != nil {
 		return err
@@ -295,6 +303,7 @@ func (e *Engine) CancelFlow(id FlowID) error {
 
 // At schedules fn at absolute virtual time t (>= Now).
 func (e *Engine) At(t float64, fn func(*Engine)) error {
+	e.mutating("At")
 	if t < e.Now() {
 		return fmt.Errorf("%w: %g < %g", sim.ErrPastEvent, t, e.Now())
 	}
@@ -304,6 +313,7 @@ func (e *Engine) At(t float64, fn func(*Engine)) error {
 
 // After schedules fn dt seconds from now.
 func (e *Engine) After(dt float64, fn func(*Engine)) error {
+	e.mutating("After")
 	if dt < 0 {
 		return fmt.Errorf("netsim: negative delay %g", dt)
 	}
@@ -346,9 +356,29 @@ func (e *Engine) RunUntil(horizon float64, pred func() bool) error {
 // barrier round, and the callbacks — though fired in the exact order and
 // at the exact virtual times they would have without windows — fire
 // after other shards have already simulated past them, which only an
-// effect-free callback cannot observe. Without the promise, lookahead stays off whenever any
-// callback is registered.
+// effect-free callback cannot observe. Without the promise, lookahead
+// stays off whenever any callback is registered.
+//
+// The promise is checked in every round, windows or not: while a
+// callback of an engine so declared runs, AddFlow(s), CancelFlow,
+// At/After, SetAllocator, MarkDirty, SetShards, SetFullRecompute and
+// Fail*/Restore* panic, naming the method.
 func (e *Engine) SetPureCallbacks(pure bool) { e.pureCallbacks = pure }
+
+// mutating panics when a mutating method is called from a completion
+// callback declared pure (SetPureCallbacks).
+func (e *Engine) mutating(method string) {
+	if e.inPure {
+		panic("netsim: Engine." + method + " called from a completion callback declared pure by SetPureCallbacks")
+	}
+}
+
+// fire runs a completion callback, holding a pure one to its promise.
+func (e *Engine) fire(fn func(*Engine, FlowID), id FlowID) {
+	e.inPure = e.pureCallbacks
+	fn(e, id)
+	e.inPure = false
+}
 
 // setDone records a completion callback for id.
 func (e *Engine) setDone(id FlowID, fn func(*Engine, FlowID)) {
@@ -374,50 +404,6 @@ func (e *Engine) takeDone(id FlowID) func(*Engine, FlowID) {
 	return fn
 }
 
-func (e *Engine) saveOldRates() {
-	e.oldRates = e.oldRates[:0]
-	for _, id := range e.ids {
-		e.oldRates = append(e.oldRates, e.net.flows[id].Rate)
-	}
-}
-
-// reproject materializes Remaining and re-keys the completion heap for
-// every flow whose rate actually changed. Flows whose recomputed rate is
-// bitwise unchanged are left alone — their lazy projection (and heap
-// key) is still exact, which is what makes scoped and full recomputes
-// bit-for-bit identical: both skip exactly the flows whose rates agree.
-func (e *Engine) reproject(now float64) {
-	for i, id := range e.ids {
-		f := &e.net.flows[id]
-		if !f.active {
-			continue
-		}
-		old := e.oldRates[i]
-		if f.Rate == old {
-			continue
-		}
-		if old > 0 && now > f.lastSet {
-			f.Remaining -= old * (now - f.lastSet)
-			if f.Remaining < 0 {
-				f.Remaining = 0
-			}
-		}
-		f.lastSet = now
-		if f.Rate > 0 {
-			e.heapFix(id, now+f.Remaining/f.Rate)
-		} else {
-			e.heapRemove(id)
-		}
-	}
-	e.tel.heapSize.Set(float64(e.heapLen()))
-}
-
-func (e *Engine) clearSeeds() {
-	e.seedFlows = e.seedFlows[:0]
-	e.seedLinks = e.seedLinks[:0]
-	e.dirtyAll = false
-}
-
 // observeUtilization refreshes the per-allocator port-utilization gauges
 // after a rate recomputation: the max and mean utilization across the
 // busy links touched by the last allocation (under a full recompute that
@@ -425,21 +411,22 @@ func (e *Engine) clearSeeds() {
 // the only ones whose utilization can have changed).
 func (e *Engine) observeUtilization() {
 	ep := e.epoch.Add(1)
-	for len(e.linkSeen) < len(e.net.linkFlows) {
-		e.linkSeen = append(e.linkSeen, 0)
+	w := &e.walk
+	for len(w.linkSeen) < len(e.net.linkFlows) {
+		w.linkSeen = append(w.linkSeen, 0)
 	}
 	var sum, max float64
 	n := 0
-	for _, id := range e.ids {
+	for _, id := range w.ids {
 		f := &e.net.flows[id]
 		if !f.active {
 			continue
 		}
 		for _, l := range f.Path {
-			if e.linkSeen[l] == ep || len(e.net.linkFlows[l]) == 0 {
+			if w.linkSeen[l] == ep || len(e.net.linkFlows[l]) == 0 {
 				continue
 			}
-			e.linkSeen[l] = ep
+			w.linkSeen[l] = ep
 			u := e.net.LinkUtilization(l)
 			sum += u
 			if u > max {

@@ -28,6 +28,7 @@ func (e *Engine) FailLink(id topology.LinkID) error { return e.FailLinks(id) }
 // skipped. On an unknown link ID the valid links are still processed and
 // the first error is returned.
 func (e *Engine) FailLinks(ids ...topology.LinkID) error {
+	e.mutating("FailLinks")
 	var changed []topology.LinkID
 	var firstErr error
 	for _, l := range ids {
@@ -55,6 +56,7 @@ func (e *Engine) RestoreLink(id topology.LinkID) error { return e.RestoreLinks(i
 // then attempts to resume every stalled flow over the recovered fabric.
 // Flows that were rerouted around the failure keep their detours.
 func (e *Engine) RestoreLinks(ids ...topology.LinkID) error {
+	e.mutating("RestoreLinks")
 	changed := false
 	var firstErr error
 	for _, l := range ids {
@@ -78,6 +80,7 @@ func (e *Engine) RestoreLinks(ids ...topology.LinkID) error {
 // FailSwitch fails every link attached to the switch (both directions),
 // disrupting the flows crossing any of them.
 func (e *Engine) FailSwitch(n topology.NodeID) error {
+	e.mutating("FailSwitch")
 	changed, err := e.net.top.FailSwitch(n)
 	if err != nil {
 		return err
@@ -94,6 +97,7 @@ func (e *Engine) FailSwitch(n topology.NodeID) error {
 // RestoreSwitch restores every link attached to the switch and resumes
 // stalled flows.
 func (e *Engine) RestoreSwitch(n topology.NodeID) error {
+	e.mutating("RestoreSwitch")
 	changed, err := e.net.top.RestoreSwitch(n)
 	if err != nil {
 		return err

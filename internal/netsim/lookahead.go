@@ -27,6 +27,11 @@ import (
 // the seeded components at the batch time, re-project — without any other
 // shard observing the difference.
 //
+// A window recompute is the coordinator's scoped recompute on the
+// shard's own walk (scope.go): the same expansion, rate save, component
+// allocation, re-projection and due predicate, with the shard's heap as
+// the re-projection target.
+//
 // Bit-exactness rests on three properties. First, a barrier round runs
 // the recompute triggered by a completion batch at the batch's own
 // virtual time (the clock advances before the batch and the next round's
@@ -40,7 +45,7 @@ import (
 // which is precisely the round-by-round pop order. Callbacks therefore
 // fire at their exact virtual times and in the same order as without
 // windows, but *after* other shards have simulated past them — hence the
-// purity gate (SetPureCallbacks).
+// purity gate (SetPureCallbacks), whose promise the engine checks.
 
 // lookaheadReady reports whether this round may use lookahead windows:
 // clones in force (component allocation proven separable for this
@@ -48,12 +53,11 @@ import (
 // and no completion callbacks unless declared pure.
 func (e *Engine) lookaheadReady() bool {
 	sh := e.sh
-	if !sh.lookahead || e.full || e.dirtyAll || e.OnAdvance != nil ||
+	if e.full || e.dirtyAll || e.OnAdvance != nil ||
 		(e.onDoneCount > 0 && !e.pureCallbacks) {
 		return false
 	}
-	sh.ensureClones(e.alloc)
-	return sh.clones
+	return sh.ensureClones(e.alloc)
 }
 
 // computeIsolation refreshes the per-shard isolation flags from the
@@ -72,12 +76,6 @@ func (e *Engine) computeIsolation() {
 	}
 }
 
-// runShardWindow is the per-shard window phase body, reading the
-// round's safe horizon from sh.windowH.
-func (e *Engine) runShardWindow(i int) {
-	e.runWindow(e.sh.shards[i], e.sh.windowH)
-}
-
 // runLookahead runs one lookahead round: every isolated shard with a
 // completion strictly below the safe horizon h advances all its
 // completions up to h in a local window, concurrently; the coordinator
@@ -86,11 +84,7 @@ func (e *Engine) runShardWindow(i int) {
 // retires at least its first batch, so a round always makes progress.
 func (e *Engine) runLookahead(h float64) error {
 	sh := e.sh
-	// Pre-grow the shared flow-mark array: workers mark flows during
-	// window traversals and must never grow shared slices concurrently.
-	for len(e.flowSeen) < len(e.net.flows) {
-		e.flowSeen = append(e.flowSeen, 0)
-	}
+	e.growFlowSeen() // windows mark flows concurrently and never grow it
 	sh.busy = sh.busy[:0]
 	for i, s := range sh.shards {
 		if !sh.isolated[i] {
@@ -101,27 +95,15 @@ func (e *Engine) runLookahead(h float64) error {
 		}
 	}
 	sh.windowH = h
-	e.runPhase(sh.busy, (*Engine).runShardWindow)
+	e.runPhase(sh.busy, (*Engine).runWindow)
 
-	declined := false
 	recomputes, dirtyFlows := 0, 0
 	sh.mergedR = sh.mergedR[:0]
 	for _, i := range sh.busy {
 		s := sh.shards[i]
-		declined = declined || s.wDeclined
 		recomputes += s.wRecs
 		dirtyFlows += s.wDirty
 		sh.mergedR = append(sh.mergedR, s.retired...)
-	}
-	if declined {
-		// Defensive recovery (no shardable discipline declines today): the
-		// declining window rolled its rates back, so the state is feasible
-		// but no longer provably bit-exact. Latch lookahead off for the
-		// run and schedule a full recompute rather than compound the
-		// divergence.
-		sh.lookahead = false
-		e.dirty = true
-		e.dirtyAll = true
 	}
 	// Merged (time, heap key, id) order is the pop order without windows:
 	// time orders the rounds, and within a round the heaps pop by (key, id).
@@ -154,7 +136,7 @@ func (e *Engine) runLookahead(h float64) error {
 		e.net.finishRemoved(id)
 		e.tel.flowCompletions.Inc()
 		if fn != nil {
-			fn(e, id)
+			e.fire(fn, id)
 		}
 	}
 
@@ -178,29 +160,26 @@ func (e *Engine) runLookahead(h float64) error {
 	return nil
 }
 
-// runWindow advances one isolated shard through every completion
-// strictly below the horizon, emulating barrier rounds locally:
+// runWindow is the per-shard window phase body: it advances isolated
+// shard i through every completion strictly below the round's safe
+// horizon sh.windowH, emulating barrier rounds locally:
 // pop the due batch at the shard's next completion time, retire and
 // detach the batch, recompute the components its freed links seed, and
 // re-project — repeating until the shard's next completion reaches the
 // horizon. Runs on a worker goroutine; touches only the shard's own
 // flows, links, heap, and scratch (plus disjoint owner-only marks in the
 // engine-shared flowSeen array).
-func (e *Engine) runWindow(s *engineShard, h float64) {
-	s.wDeclined = false
+func (e *Engine) runWindow(i int) {
+	s, h := e.sh.shards[i], e.sh.windowH
 	s.retired = s.retired[:0]
 	s.wRecs, s.wDirty = 0, 0
-	for len(s.linkSeen) < len(e.net.linkFlows) {
-		s.linkSeen = append(s.linkSeen, 0)
-	}
 	for {
 		tb, _, ok := s.completions.Min()
 		if !ok || tb >= h-timeSlack {
 			return
 		}
-		// Pop every flow due at tb — collectShardDue's predicate verbatim.
-		// The first pop always passes (its key is tb), so every window
-		// iteration retires at least one flow.
+		// Pop every flow due at tb. The first pop always passes (its key
+		// is tb), so every window iteration retires at least one flow.
 		s.seeds = s.seeds[:0]
 		for {
 			at, idInt, ok := s.completions.Min()
@@ -208,7 +187,7 @@ func (e *Engine) runWindow(s *engineShard, h float64) {
 				break
 			}
 			f := &e.net.flows[idInt]
-			if at > tb && f.RemainingAt(tb) > completionSlack(f) {
+			if !due(f, at, tb) {
 				break
 			}
 			s.completions.Pop()
@@ -219,93 +198,22 @@ func (e *Engine) runWindow(s *engineShard, h float64) {
 			s.retired = append(s.retired, retirement{at: tb, key: at, id: idInt})
 		}
 		e.windowRecompute(s, tb)
-		if s.wDeclined {
-			return
-		}
 	}
 }
 
-// windowRecompute is the window-local scoped recompute: expand the batch
-// seeds into link-connected components (per-shard linkSeen marks, shared
-// flowSeen with owner-only writes — isolation confines the components to
-// the shard's own flows), allocate each component on the shard's clone,
-// and re-project exactly as reproject would at the batch time — skipping
-// bitwise-unchanged rates, so lazy projections stay identical to a run
-// without windows.
+// windowRecompute is the window-local scoped recompute at the batch time:
+// expand the batch's freed links into components on the shard's walk,
+// allocate each on the shard's clone, and re-project onto the shard's
+// heap — skipping bitwise-unchanged rates, so lazy projections stay
+// identical to a run without windows.
 func (e *Engine) windowRecompute(s *engineShard, tb float64) {
-	ep := e.epoch.Add(1)
-	s.wIDs = s.wIDs[:0]
-	s.wCompOff = s.wCompOff[:0]
-	for _, seed := range s.seeds {
-		if s.linkSeen[seed] == ep {
-			continue
-		}
-		s.linkSeen[seed] = ep
-		s.wStack = append(s.wStack[:0], seed)
-		start := len(s.wIDs)
-		for len(s.wStack) > 0 {
-			l := s.wStack[len(s.wStack)-1]
-			s.wStack = s.wStack[:len(s.wStack)-1]
-			for _, fid := range e.net.linkFlows[l] {
-				if e.flowSeen[fid] == ep {
-					continue
-				}
-				e.flowSeen[fid] = ep
-				s.wIDs = append(s.wIDs, fid)
-				for _, fl := range e.net.flows[fid].Path {
-					if s.linkSeen[fl] != ep {
-						s.linkSeen[fl] = ep
-						s.wStack = append(s.wStack, fl)
-					}
-				}
-			}
-		}
-		if len(s.wIDs) > start {
-			slices.Sort(s.wIDs[start:])
-			s.wCompOff = append(s.wCompOff, start)
-		}
+	w := &s.walk
+	w.expand(e.net, e.flowSeen, e.epoch.Add(1), s.seeds, nil)
+	w.save(e.net)
+	for c := 0; c+1 < len(w.off); c++ {
+		allocComp(s.alloc, e.net, w.comp(c))
 	}
-	s.wCompOff = append(s.wCompOff, len(s.wIDs))
-
-	s.wOld = s.wOld[:0]
-	for _, id := range s.wIDs {
-		s.wOld = append(s.wOld, e.net.flows[id].Rate)
-	}
-	for c := 0; c+1 < len(s.wCompOff); c++ {
-		comp := s.wIDs[s.wCompOff[c]:s.wCompOff[c+1]]
-		if !s.alloc.AllocateScoped(e.net, comp) {
-			// Roll every rate back to its saved in-force value so the
-			// recovery recompute (runLookahead schedules a full one)
-			// projects flow progress with the rates that actually applied.
-			for j, id := range s.wIDs {
-				e.net.flows[id].Rate = s.wOld[j]
-			}
-			s.wDeclined = true
-			return
-		}
-	}
-	for i, id := range s.wIDs {
-		f := &e.net.flows[id]
-		if !f.active {
-			continue
-		}
-		old := s.wOld[i]
-		if f.Rate == old {
-			continue
-		}
-		if old > 0 && tb > f.lastSet {
-			f.Remaining -= old * (tb - f.lastSet)
-			if f.Remaining < 0 {
-				f.Remaining = 0
-			}
-		}
-		f.lastSet = tb
-		if f.Rate > 0 {
-			s.completions.Fix(int(id), tb+f.Remaining/f.Rate)
-		} else {
-			s.completions.Remove(int(id))
-		}
-	}
+	e.reproject(w, tb, &s.completions)
 	s.wRecs++
-	s.wDirty += len(s.wIDs)
+	s.wDirty += len(w.ids)
 }

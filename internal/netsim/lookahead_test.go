@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"saba/internal/telemetry"
@@ -133,6 +134,42 @@ func TestLookaheadGatedOffByImpureCallbacks(t *testing.T) {
 	assertSameVector(t, "impure", want, got)
 	if rounds := shardReg.Counter("netsim.lookahead_rounds").Value(); rounds != 0 {
 		t.Fatalf("lookahead ran %d rounds despite undeclared callbacks", rounds)
+	}
+}
+
+// A completion callback declared pure that mutates the engine must
+// panic, naming the method, wherever it fires: from a lookahead window
+// (pod-local flows at one shard or per pod) or from a plain barrier
+// round (the full-recompute reference opens no windows).
+func TestLookaheadImpureCallbackPanics(t *testing.T) {
+	for _, c := range []struct {
+		shards int
+		full   bool
+	}{{1, false}, {-1, false}, {1, true}} {
+		top := diffFabric(t)
+		part := top.Partition()
+		net := NewNetwork(top)
+		e := NewEngine(net, NewIdealMaxMin(net))
+		e.SetTelemetry(telemetry.NewRegistry())
+		e.SetShards(c.shards)
+		e.SetFullRecompute(c.full)
+		e.SetPureCallbacks(true)
+		impure := func(e *Engine, _ FlowID) {
+			_ = e.After(1, func(*Engine) {})
+		}
+		for p := 0; p < part.NumParts(); p++ {
+			hs := part.HostsIn(p)
+			for i := 0; i < 6; i++ {
+				spec := FlowSpec{Src: hs[0], Dst: hs[i+1], Bits: float64(i+1) * 1e3}
+				if _, err := e.AddFlow(spec, impure); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		msg := panicMessage(func() { _ = e.Run(math.Inf(1)) })
+		if !strings.Contains(msg, "Engine.After called from a completion callback declared pure") {
+			t.Errorf("shards=%d full=%v: got %q, want a panic naming Engine.After", c.shards, c.full, msg)
+		}
 	}
 }
 

@@ -52,7 +52,6 @@ type engineShard struct {
 	cands       []dueCand // due-collection candidates this round
 	stopAt      float64   // first (key, id) that failed the due predicate;
 	stopID      int       // +Inf when the shard's heap was exhausted
-	declined    bool      // a clone declined AllocateScoped this recompute
 
 	pods   []int32 // fabric partitions folded onto this shard
 	active int     // active flows homed here (per-shard gauge source)
@@ -64,20 +63,13 @@ type engineShard struct {
 	gHeap   *telemetry.Gauge // netsim.completion_heap_size{engine,shard}
 
 	// Lookahead-window scratch, owned by the shard's worker during a
-	// window phase (lookahead.go). linkSeen is per-shard because window
-	// traversals run concurrently; flow marks live in the engine-shared
-	// flowSeen array, which is safe because an isolated shard's
-	// components reach only its own flows.
-	wIDs      []FlowID
-	wOld      []float64
-	wCompOff  []int
-	wStack    []topology.LinkID
-	linkSeen  []int64
-	seeds     []topology.LinkID
-	retired   []retirement
-	wDeclined bool
-	wRecs     int // window recomputes this round (telemetry, applied merged)
-	wDirty    int // flows re-rated by window recomputes this round
+	// window phase (lookahead.go): the window's component walk, the
+	// links a completion batch freed, and the retirements to merge.
+	walk    scopeWalk
+	seeds   []topology.LinkID
+	retired []retirement
+	wRecs   int // window recomputes this round (telemetry, applied merged)
+	wDirty  int // flows re-rated by window recomputes this round
 }
 
 // shardedState is the coordinator side of the sharded engine.
@@ -88,13 +80,7 @@ type shardedState struct {
 	workers *shardWorkers // nil when one schedulable slot: phases run inline
 
 	clonedFrom Allocator // allocator the clones were derived from
-	clones     bool      // clones usable: component-parallel allocation on
-	// cloneCache pools derived clone sets per source allocator, so
-	// swapping allocators back and forth (SetAllocator A→B→A) reuses
-	// A's clones — and their internal scratch — instead of rederiving.
-	cloneCache map[Allocator][]Allocator
 
-	compOff  []int     // e.ids[compOff[c]:compOff[c+1]] = component c (ascending)
 	merged   []dueCand // cross-shard due merge scratch
 	busy     []int     // shard indices with work in the current phase
 	isolated []bool    // per-shard: no flow couples its pods this round
@@ -108,13 +94,6 @@ type shardedState struct {
 	// with a worker-pool finalizer from ever being collected.
 	dueT    float64 // collectDue's tNext for the round in flight
 	windowH float64 // runLookahead's safe horizon for the round in flight
-
-	// lookahead gates the window optimization for this run. It starts
-	// true and latches false if a clone ever declines inside a window
-	// (defensively: no shardable discipline declines today) — the
-	// recovery recompute is rate-correct but not provably bit-exact, so
-	// windows stop rather than compound.
-	lookahead bool
 }
 
 // SetShards splits the engine into n per-partition event shards
@@ -125,6 +104,7 @@ type shardedState struct {
 // Flow ownership is the fabric partition of the flow's source host
 // folded onto the shard count, so any n is valid on any topology.
 func (e *Engine) SetShards(n int) {
+	e.mutating("SetShards")
 	part := e.net.partition()
 	if n < 0 {
 		n = part.NumParts()
@@ -137,11 +117,10 @@ func (e *Engine) SetShards(n int) {
 		return // one shard already: no heap to migrate, no pool to stop
 	}
 	sh := &shardedState{
-		part:      part,
-		barrier:   sim.NewBarrier(n),
-		shards:    make([]*engineShard, n),
-		isolated:  make([]bool, n),
-		lookahead: true,
+		part:     part,
+		barrier:  sim.NewBarrier(n),
+		shards:   make([]*engineShard, n),
+		isolated: make([]bool, n),
 	}
 	shardBuf := make([]engineShard, n) // one block, not n tiny allocations
 	for i := range sh.shards {
@@ -398,7 +377,7 @@ func (e *Engine) step(horizon float64) error {
 		e.tel.flowCompletions.Inc()
 		e.dirty = true
 		if fn != nil {
-			fn(e, id)
+			e.fire(fn, id)
 		}
 	}
 	completions := len(due)
@@ -431,8 +410,8 @@ func (e *Engine) step(horizon float64) error {
 	return nil
 }
 
-// collectShardDue is the per-shard due-collection phase body: pop every projected completion at or before sh.dueT — by
-// the completion-slack predicate — into the shard's candidate list,
+// collectShardDue is the per-shard due-collection phase body: pop every
+// projected completion due by sh.dueT into the shard's candidate list,
 // recording the first survivor as the shard's stop marker.
 func (e *Engine) collectShardDue(i int) {
 	sh := e.sh
@@ -446,8 +425,7 @@ func (e *Engine) collectShardDue(i int) {
 		if !ok {
 			break
 		}
-		f := &e.net.flows[idInt]
-		if at > tNext && f.RemainingAt(tNext) > completionSlack(f) {
+		if !due(&e.net.flows[idInt], at, tNext) {
 			s.stopAt, s.stopID = at, idInt
 			break
 		}
@@ -532,37 +510,27 @@ func (e *Engine) mergeDue() []dueCand {
 }
 
 // allocShardComps is the per-shard allocation phase body: run the
-// shard's clone over each component assigned to it this recompute,
-// flagging a decline for the coordinator.
+// shard's clone over each component assigned to it this recompute.
 func (e *Engine) allocShardComps(i int) {
-	sh := e.sh
-	s := sh.shards[i]
+	s := e.sh.shards[i]
 	for _, c := range s.comps {
-		comp := e.ids[sh.compOff[c]:sh.compOff[c+1]]
-		if !s.alloc.AllocateScoped(e.net, comp) {
-			s.declined = true
-			return
-		}
+		allocComp(s.alloc, e.net, e.walk.comp(c))
 	}
 }
 
 // recompute re-rates the flows affected by the accumulated flow-set
 // changes and re-projects their completion times. With scoping in
 // force, the dirty components are routed to their owning shards'
-// allocator clones and allocated concurrently. It falls back to the
-// union path whenever scoping is off for this round, the allocator
-// cannot be cloned, or a clone declines.
+// allocator clones and allocated concurrently; otherwise, or when the
+// allocator cannot be cloned, it takes the union path.
 func (e *Engine) recompute() {
 	sh := e.sh
 	now := e.clock.Now()
 	scoped := !e.full && !e.dirtyAll
-	if scoped {
-		// Clones derive lazily, at the first recompute that can actually
-		// use them: runs that only ever take the union path (full
-		// recomputes, non-shardable disciplines) never pay for them.
-		sh.ensureClones(e.alloc)
-	}
-	if !scoped || !sh.clones {
+	// Clones derive lazily, at the first recompute that can actually use
+	// them: runs that only ever take the union path (full recomputes,
+	// non-shardable disciplines) never pay for them.
+	if !scoped || !sh.ensureClones(e.alloc) {
 		e.recomputeUnion(now, scoped)
 		return
 	}
@@ -571,56 +539,33 @@ func (e *Engine) recompute() {
 	for _, s := range sh.shards {
 		s.completions.Grow(len(e.net.flows)-1, s.active)
 	}
+	w := &e.walk
 	e.splitDirty()
-	e.saveOldRates()
-	if len(e.ids) == 0 {
-		// Shardable disciplines accept an empty scope without observable
-		// side effects (the union path's no-op), so nothing runs.
-		e.reproject(now)
-		e.clearSeeds()
-		return
-	}
-
-	// Assign each component to the home shard of its lowest flow. A
-	// component may span pods (cross-pod flows couple them through cut
-	// links); ownership by lowest member keeps the assignment
-	// deterministic and every component on exactly one shard.
-	nc := len(sh.compOff) - 1
-	for _, s := range sh.shards {
-		s.comps = s.comps[:0]
-		s.declined = false
-	}
-	sh.busy = sh.busy[:0]
-	for c := 0; c < nc; c++ {
-		home := e.homeOf(e.ids[sh.compOff[c]])
-		s := sh.shards[home]
-		if len(s.comps) == 0 {
-			sh.busy = append(sh.busy, home)
+	w.save(e.net)
+	if len(w.ids) > 0 {
+		// Assign each component to the home shard of its lowest flow. A
+		// component may span pods (cross-pod flows couple them through
+		// cut links); ownership by lowest member keeps the assignment
+		// deterministic and every component on exactly one shard. An
+		// empty scope runs nothing: shardable disciplines accept it
+		// without observable side effects.
+		for _, s := range sh.shards {
+			s.comps = s.comps[:0]
 		}
-		s.comps = append(s.comps, c)
-	}
-	e.runPhase(sh.busy, (*Engine).allocShardComps)
-	declined := false
-	for _, i := range sh.busy {
-		declined = declined || sh.shards[i].declined
-	}
-	if declined {
-		// A clone declined mid-way (no shardable discipline does today,
-		// but the contract allows it): undo any partial rate writes — the
-		// union's saved rates cover every flow a clone may have touched —
-		// then widen to the full active set exactly like the union path.
-		for i, id := range e.ids {
-			e.net.flows[id].Rate = e.oldRates[i]
+		sh.busy = sh.busy[:0]
+		for c := 0; c+1 < len(w.off); c++ {
+			home := e.homeOf(w.ids[w.off[c]])
+			s := sh.shards[home]
+			if len(s.comps) == 0 {
+				sh.busy = append(sh.busy, home)
+			}
+			s.comps = append(s.comps, c)
 		}
-		e.ids = e.net.ActiveInto(e.ids[:0])
-		e.saveOldRates()
-		e.alloc.Allocate(e.net)
-	} else {
+		e.runPhase(sh.busy, (*Engine).allocShardComps)
 		e.tel.scopedRecomputes.Inc()
-		e.tel.dirtyFlows.Add(uint64(len(e.ids)))
+		e.tel.dirtyFlows.Add(uint64(len(w.ids)))
 	}
-	e.reproject(now)
-	e.clearSeeds()
+	e.reprojectHome(now)
 }
 
 // recomputeUnion is recompute's fallback: the whole dirty set in one
@@ -633,182 +578,86 @@ func (e *Engine) recompute() {
 // link they bill changed) while decliners like Homa must re-rank the
 // whole network on every change — exactly what the widened path does.
 func (e *Engine) recomputeUnion(now float64, scoped bool) {
+	w := &e.walk
 	if scoped {
 		e.splitDirty()
-		slices.Sort(e.ids)
+		slices.Sort(w.ids)
 	} else {
-		e.ids = e.net.ActiveInto(e.ids[:0])
+		w.ids = e.net.ActiveInto(w.ids[:0])
 	}
-	e.saveOldRates()
-	if !e.alloc.AllocateScoped(e.net, e.ids) {
+	w.save(e.net)
+	if !e.alloc.AllocateScoped(e.net, w.ids) {
 		if scoped {
 			// Allocator declined: widen to the full active set.
-			e.ids = e.net.ActiveInto(e.ids[:0])
-			e.saveOldRates()
-			scoped = false
+			w.ids = e.net.ActiveInto(w.ids[:0])
+			w.save(e.net)
 		}
 		e.alloc.Allocate(e.net)
-	} else if scoped && len(e.ids) > 0 {
+	} else if scoped && len(w.ids) > 0 {
 		e.tel.scopedRecomputes.Inc()
-		e.tel.dirtyFlows.Add(uint64(len(e.ids)))
+		e.tel.dirtyFlows.Add(uint64(len(w.ids)))
 	}
-	e.reproject(now)
-	e.clearSeeds()
+	e.reprojectHome(now)
+}
+
+// reprojectHome closes a coordinator recompute: the walk's changed flows
+// re-keyed on their home heaps, and the seeds consumed.
+func (e *Engine) reprojectHome(now float64) {
+	e.reproject(&e.walk, now, nil)
+	e.tel.heapSize.Set(float64(e.heapLen()))
+	e.seedFlows = e.seedFlows[:0]
+	e.seedLinks = e.seedLinks[:0]
+	e.dirtyAll = false
 }
 
 // ensureClones (re)derives per-shard allocator clones when the engine's
-// allocator changed since the last recompute, pooling previously
-// derived clone sets so an allocator swapped back in reuses its clones
-// (and their internal caches and scratch) instead of rebuilding them.
-// Without a worker pool the shards simply share the parent allocator. A
-// nil clone marks the allocator (or its current configuration)
-// non-shardable; component allocation then stays on the union path
-// while the sharded event loop keeps running. Non-shardable
-// outcomes are deliberately not cached: a configuration change (e.g. a
-// Decentral channel detach) can make the same allocator shardable
-// later.
-func (sh *shardedState) ensureClones(alloc Allocator) {
+// allocator changed since the last recompute, and reports whether
+// clones are in force. A nil clone marks the allocator (or its current
+// configuration) non-shardable; component allocation then stays on the
+// union path while the sharded event loop keeps running.
+func (sh *shardedState) ensureClones(alloc Allocator) bool {
 	if sh.clonedFrom == alloc {
-		return
+		return sh.shards[0].alloc != nil
 	}
 	sh.clonedFrom = alloc
-	sh.clones = false
-	if cached, ok := sh.cloneCache[alloc]; ok {
-		for i, s := range sh.shards {
-			s.alloc = cached[i]
-		}
-		sh.clones = true
-		return
+	for _, s := range sh.shards {
+		s.alloc = nil
 	}
 	sa, ok := alloc.(ShardableAllocator)
-	if !ok {
-		for _, s := range sh.shards {
-			s.alloc = nil
-		}
-		return
+	if !ok || sa.ShardClone() == nil {
+		return false
 	}
-	clones := make([]Allocator, len(sh.shards))
-	if sh.workers == nil {
-		// One schedulable slot: phases run inline, one shard after
-		// another on the coordinator goroutine, so every shard can
-		// allocate with the parent itself. A scoped clone shares all
-		// per-link state with the parent anyway — sequentially they are
-		// the same computation — and skipping derivation skips the
-		// per-clone run scratch entirely. Probe shardability once so a
-		// non-shardable configuration still declines to the union path.
-		if sa.ShardClone() == nil {
-			for _, s := range sh.shards {
-				s.alloc = nil
-			}
-			return
-		}
-		for i := range clones {
-			clones[i] = alloc
-		}
-	} else {
-		for i := range sh.shards {
-			c := sa.ShardClone()
-			if c == nil {
-				for _, s2 := range sh.shards {
-					s2.alloc = nil
-				}
-				return
-			}
-			clones[i] = c
+	for _, s := range sh.shards {
+		// Without a worker pool, phases run inline, one shard after
+		// another on the coordinator goroutine, so every shard allocates
+		// with the parent itself: a scoped clone shares all per-link
+		// state with the parent anyway — sequentially they are the same
+		// computation — and skipping derivation skips the per-clone run
+		// scratch entirely.
+		s.alloc = alloc
+		if sh.workers != nil {
+			s.alloc = sa.ShardClone()
 		}
 	}
-	for i, s := range sh.shards {
-		s.alloc = clones[i]
-	}
-	if sh.cloneCache == nil {
-		sh.cloneCache = map[Allocator][]Allocator{}
-	}
-	sh.cloneCache[alloc] = clones
-	sh.clones = true
+	return true
 }
 
-// splitDirty expands the recompute seeds (dirty links and flows)
-// directly into their link-connected components in one traversal: e.ids
-// holds every component's flows contiguously (each sorted ascending)
-// and compOff the boundaries. Inactive seed flows are skipped and
-// detached stalled flows seed their last known path, so the
-// concatenation of the parts is exactly the dirty union. The per-shard
-// path needs no union-wide sort: every consumer of e.ids either pairs
-// it positionally with oldRates or slices it per component, and the
-// allocator contract only requires each component ascending. The union
-// path, which hands the whole set to one AllocateScoped call, sorts it
-// once.
-//
-// Seed order is deterministic, so discovery order — and with it the
-// component list — is too. Component order across shards is free:
-// components share no links by construction, so AllocateScoped on one
-// is independent of every other, which the concurrent per-shard
-// allocation phase already relies on.
+// splitDirty expands the recompute seeds (dirty links and flows) into
+// their link-connected components on the coordinator's walk. The
+// per-shard path needs no union-wide sort: every consumer of the walk's
+// ids either pairs it positionally with the saved rates or slices it per
+// component, and the allocator contract only requires each component
+// ascending. The union path, which hands the whole set to one
+// AllocateScoped call, sorts it once.
 func (e *Engine) splitDirty() {
-	sh := e.sh
-	e.ids = e.ids[:0]
-	sh.compOff = sh.compOff[:0]
-	ep := e.epoch.Add(1)
-	for len(e.linkSeen) < len(e.net.linkFlows) {
-		e.linkSeen = append(e.linkSeen, 0)
-	}
+	e.growFlowSeen()
+	e.walk.expand(e.net, e.flowSeen, e.epoch.Add(1), e.seedLinks, e.seedFlows)
+}
+
+// growFlowSeen sizes the shared flow marks to the flow table. Walks
+// never grow it: windows mark flows concurrently.
+func (e *Engine) growFlowSeen() {
 	for len(e.flowSeen) < len(e.net.flows) {
 		e.flowSeen = append(e.flowSeen, 0)
-	}
-	for _, l := range e.seedLinks {
-		if e.linkSeen[l] == ep {
-			continue
-		}
-		e.linkSeen[l] = ep
-		e.stack = append(e.stack[:0], l)
-		e.growComponent(ep, len(e.ids))
-	}
-	for _, id := range e.seedFlows {
-		f := &e.net.flows[id]
-		if !f.active || e.flowSeen[id] == ep {
-			continue // e.g. admitted then cancelled before this recompute
-		}
-		start := len(e.ids)
-		e.flowSeen[id] = ep
-		e.ids = append(e.ids, id)
-		e.stack = e.stack[:0]
-		for _, l := range f.Path {
-			if e.linkSeen[l] != ep {
-				e.linkSeen[l] = ep
-				e.stack = append(e.stack, l)
-			}
-		}
-		e.growComponent(ep, start)
-	}
-	sh.compOff = append(sh.compOff, len(e.ids))
-}
-
-// growComponent drains the link stack into e.ids and closes out the
-// component that started at start (dropped when the seed reached no
-// flows). A method rather than a closure inside splitDirty: the closure
-// captured locals and escaped, costing one heap allocation per scoped
-// recompute on the hot path.
-func (e *Engine) growComponent(ep int64, start int) {
-	sh := e.sh
-	for len(e.stack) > 0 {
-		l := e.stack[len(e.stack)-1]
-		e.stack = e.stack[:len(e.stack)-1]
-		for _, fid := range e.net.linkFlows[l] {
-			if e.flowSeen[fid] == ep {
-				continue
-			}
-			e.flowSeen[fid] = ep
-			e.ids = append(e.ids, fid)
-			for _, fl := range e.net.flows[fid].Path {
-				if e.linkSeen[fl] != ep {
-					e.linkSeen[fl] = ep
-					e.stack = append(e.stack, fl)
-				}
-			}
-		}
-	}
-	if len(e.ids) > start {
-		slices.Sort(e.ids[start:])
-		sh.compOff = append(sh.compOff, start)
 	}
 }

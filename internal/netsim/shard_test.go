@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -332,5 +333,71 @@ func TestShardedEngineIsCollected(t *testing.T) {
 	}
 	if got := freed.Load(); got != engines {
 		t.Errorf("%d of %d dropped engines were collected", got, engines)
+	}
+}
+
+// decliner breaks the ShardableAllocator contract: once its shared
+// budget of accepted scoped calls is spent, it and every clone decline
+// AllocateScoped.
+type decliner struct {
+	*IdealMaxMin
+	accept *atomic.Int64
+}
+
+func (decliner) Name() string { return "decliner" }
+
+func (d decliner) AllocateScoped(net *Network, ids []FlowID) bool {
+	if d.accept.Add(-1) < 0 {
+		return false
+	}
+	return d.IdealMaxMin.AllocateScoped(net, ids)
+}
+
+func (d decliner) ShardClone() Allocator {
+	return decliner{d.IdealMaxMin.ShardClone().(*IdealMaxMin), d.accept}
+}
+
+// panicMessage runs fn and returns what it panicked with ("<nil>" if it
+// returned normally).
+func panicMessage(fn func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	fn()
+	return
+}
+
+// A shard clone that declines AllocateScoped must stop the run with a
+// panic naming the allocator — on the first recompute or later (in a
+// lookahead window or a barrier round), at one shard and per-pod shards,
+// with the worker pool absent (GOMAXPROCS=1) or present (4).
+func TestShardCloneDeclinePanics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, -1} {
+			for _, accept := range []int64{0, 3} {
+				top := diffFabric(t)
+				part := top.Partition()
+				net := NewNetwork(top)
+				budget := &atomic.Int64{}
+				budget.Store(accept)
+				e := NewEngine(net, decliner{NewIdealMaxMin(net), budget})
+				e.SetTelemetry(telemetry.NewRegistry())
+				e.SetShards(shards)
+				for p := 0; p < part.NumParts(); p++ {
+					hs := part.HostsIn(p)
+					for i := 0; i < 6; i++ {
+						spec := FlowSpec{Src: hs[0], Dst: hs[i+1], Bits: float64(i+1) * 1e3}
+						if _, err := e.AddFlow(spec, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				msg := panicMessage(func() { _ = e.Run(math.Inf(1)) })
+				if !strings.Contains(msg, `"decliner" declined AllocateScoped`) {
+					t.Errorf("GOMAXPROCS=%d shards=%d accept=%d: got %q, want a panic naming the declining allocator",
+						procs, shards, accept, msg)
+				}
+			}
+		}
 	}
 }

@@ -30,20 +30,23 @@ type shardWorkers struct {
 	// Phase state, published by the coordinator before the wakes (the
 	// channel send is the happens-before edge) and cleared after the
 	// latch join. lists[w] holds the shard indices worker w runs this
-	// phase.
-	e     *Engine
-	fn    func(e *Engine, i int)
-	lists [][]int
+	// phase; panics[w] holds what worker w's share panicked with, if
+	// anything, for run to re-raise on the coordinator.
+	e      *Engine
+	fn     func(e *Engine, i int)
+	lists  [][]int
+	panics []any
 }
 
 // newShardWorkers parks n worker goroutines. n must be >= 2: a pool of
 // one would just move inline work onto a channel round-trip.
 func newShardWorkers(n int) *shardWorkers {
 	sw := &shardWorkers{
-		wake:  make([]chan struct{}, n),
-		stop:  make(chan struct{}),
-		latch: sim.NewLatch(),
-		lists: make([][]int, n),
+		wake:   make([]chan struct{}, n),
+		stop:   make(chan struct{}),
+		latch:  sim.NewLatch(),
+		lists:  make([][]int, n),
+		panics: make([]any, n),
 	}
 	for w := range sw.wake {
 		sw.wake[w] = make(chan struct{}, 1)
@@ -58,12 +61,19 @@ func (sw *shardWorkers) worker(w int) {
 		case <-sw.stop:
 			return
 		case <-sw.wake[w]:
-			e, fn := sw.e, sw.fn
-			for _, i := range sw.lists[w] {
-				fn(e, i)
-			}
+			sw.runShare(w)
 			sw.latch.Arrive()
 		}
+	}
+}
+
+// runShare runs worker w's share of the phase, catching a panic (a
+// declining allocator clone, say) so run re-raises it on the
+// coordinator's goroutine, where the caller of Run can see it.
+func (sw *shardWorkers) runShare(w int) {
+	defer func() { sw.panics[w] = recover() }()
+	for _, i := range sw.lists[w] {
+		sw.fn(sw.e, i)
 	}
 }
 
@@ -78,7 +88,8 @@ func (sw *shardWorkers) close() {
 // across the parked workers. The calling goroutine runs the first
 // worker's share inline so a phase never pays for more wake-ups than it
 // has remote workers; with one busy shard (or no pool) everything stays
-// inline and the phase is synchronization-free.
+// inline and the phase is synchronization-free. A panic in any share is
+// re-raised here once the phase has joined.
 func (sw *shardWorkers) run(e *Engine, busy []int, fn func(e *Engine, i int)) {
 	if len(busy) <= 1 || sw == nil {
 		for _, i := range busy {
@@ -102,11 +113,14 @@ func (sw *shardWorkers) run(e *Engine, busy []int, fn func(e *Engine, i int)) {
 	for w := 1; w < n; w++ {
 		sw.wake[w] <- struct{}{}
 	}
-	for _, i := range sw.lists[0] {
-		fn(e, i)
-	}
+	sw.runShare(0)
 	sw.latch.Wait()
 	sw.e, sw.fn = nil, nil
+	for _, p := range sw.panics[:n] {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // poolSize is the worker count for a shard count: one schedulable slot
