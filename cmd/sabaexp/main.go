@@ -30,7 +30,7 @@ func main() {
 	setups := flag.Int("setups", 25, "cluster setups for fig 8 (paper: 500)")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "experiment seed")
 	full := flag.Bool("full", false, "paper-scale parameters for the simulation studies")
-	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, 1 = one shard, n >= 2 = n shards")
+	shards := flag.Int("shards", 0, "simulation engine sharding (netsim.Engine.SetShards): -1 = one shard per pod, 1 = one shard, 0 = the study's default (one shard; one per pod for hyperscale)")
 	out := flag.String("out", "", "directory for CSV outputs (fig 2)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for independent experiment cells; 1 forces serial execution (results are identical at any setting)")
 	showMetrics := flag.Bool("metrics", false, "print the final telemetry snapshot as JSON")
@@ -38,12 +38,10 @@ func main() {
 	benchBaseline := flag.String("bench-baseline", "", "compare fresh bench results against this baseline JSON; exit nonzero on regression")
 	profileDir := flag.String("profile", "", "enable mutex and block profiling and write mutex.pprof/block.pprof to this directory after the run (contention smoke for the sharded engine)")
 	flag.Parse()
-	shardsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			shardsSet = true
-		}
-	})
+	if *shards < -1 || *shards > 1 {
+		fmt.Fprintf(os.Stderr, "sabaexp: -shards %d: want -1 (one shard per pod), 0 (default) or 1 (one shard)\n", *shards)
+		os.Exit(2)
+	}
 	experiments.SetParallelism(*parallel)
 	if *profileDir != "" {
 		// Sample mutex contention (1 in 5 events) and every blocking event
@@ -67,7 +65,7 @@ func main() {
 		return
 	}
 
-	err := run(*fig, *setups, *seed, *full, *out, *shards, shardsSet)
+	err := run(*fig, *setups, *seed, *full, *out, *shards)
 	if *showMetrics {
 		if merr := printMetrics(); err == nil {
 			err = merr
@@ -124,22 +122,8 @@ func printMetrics() error {
 	return nil
 }
 
-// engineShards maps the CLI -shards convention (0 = one shard per pod,
-// 1 = one shard, n >= 2 = n shards) onto the internal
-// EngineShards convention (0 = one shard, -1 = per-pod).
-func engineShards(cli int) int {
-	switch cli {
-	case 0:
-		return -1
-	case 1:
-		return 0
-	default:
-		return cli
-	}
-}
-
-func run(fig string, setups int, seed int64, full bool, out string, shards int, shardsSet bool) error {
-	scale := experiments.ScaleConfig{Seed: seed, Full: full, EngineShards: engineShards(shards)}
+func run(fig string, setups int, seed int64, full bool, out string, shards int) error {
+	scale := experiments.ScaleConfig{Seed: seed, Full: full, EngineShards: shards}
 	type study struct {
 		name string
 		fn   func() error
@@ -189,12 +173,7 @@ func run(fig string, setups int, seed int64, full bool, out string, shards int, 
 			return show(r, err)
 		}},
 		{"hyperscale", func() error {
-			// The sharded engine is the point of this figure: default to
-			// one shard per pod unless an explicit -shards was given.
 			cfg := experiments.HyperscaleConfig{Seed: seed, Shards: shards}
-			if !shardsSet {
-				cfg.Shards = 0 // HyperscaleConfig: 0 → one shard per pod
-			}
 			if fig == "all" {
 				// Reduced shape for the all-studies sweep; the 10k-host
 				// default runs when the study is requested by name.

@@ -37,9 +37,13 @@ func main() {
 	compare := flag.String("compare", "", "also run this policy and report speedups")
 	seed := flag.Int64("seed", 1, "scenario seed")
 	queues := flag.Int("queues", 8, "per-port queues")
-	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, 1 = one shard, n >= 2 = n shards")
+	shards := flag.Int("shards", 0, "simulation engine sharding (netsim.Engine.SetShards): -1 = one shard per pod, 0 or 1 = one shard")
 	showMetrics := flag.Bool("metrics", false, "print the final telemetry snapshot as JSON")
 	flag.Parse()
+	if *shards < -1 || *shards > 1 {
+		fmt.Fprintf(os.Stderr, "sabasim: -shards %d: want -1 (one shard per pod), 0 or 1 (one shard)\n", *shards)
+		os.Exit(2)
+	}
 
 	err := run(*hosts, *jobs, *policy, *compare, *seed, *queues, *shards)
 	if *showMetrics {
@@ -70,20 +74,6 @@ func policyNames() []string {
 		names = append(names, n)
 	}
 	return names
-}
-
-// engineShards maps the CLI -shards convention (0 = one shard per pod,
-// 1 = one shard, n >= 2 = n shards) onto the internal
-// core.RunConfig.EngineShards convention (0 = one shard, -1 = per-pod).
-func engineShards(cli int) int {
-	switch cli {
-	case 0:
-		return -1
-	case 1:
-		return 0
-	default:
-		return cli
-	}
 }
 
 func run(hosts, jobCount int, policyName, compareName string, seed int64, queues, shards int) error {
@@ -123,7 +113,7 @@ func run(hosts, jobCount int, policyName, compareName string, seed int64, queues
 	}
 
 	res, err := core.RunJobs(top, jobs, core.RunConfig{
-		Policy: pol, Table: table, Seed: seed, EngineShards: engineShards(shards),
+		Policy: pol, Table: table, Seed: seed, EngineShards: shards,
 	})
 	if err != nil {
 		return err
@@ -143,7 +133,7 @@ func run(hosts, jobCount int, policyName, compareName string, seed int64, queues
 		return fmt.Errorf("unknown policy %q", compareName)
 	}
 	cmpRes, err := core.RunJobs(top, jobs, core.RunConfig{
-		Policy: cmpPol, Table: table, Seed: seed, EngineShards: engineShards(shards),
+		Policy: cmpPol, Table: table, Seed: seed, EngineShards: shards,
 	})
 	if err != nil {
 		return err

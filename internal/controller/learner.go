@@ -257,19 +257,3 @@ func (c *Centralized) ModelOf(id AppID) ([]float64, bool, error) {
 	}
 	return append([]float64(nil), app.coeffs...), learned, nil
 }
-
-// ShareOf returns the app's weight in the current global Eq. 2 solve —
-// the bandwidth fraction the controller intends it to receive under full
-// contention. Quarantined apps report the fair share they are pinned at.
-func (c *Centralized) ShareOf(id AppID) (float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.apps[id]; !ok {
-		return 0, ErrUnknownApp
-	}
-	w, err := c.globalWeightsLocked()
-	if err != nil {
-		return 0, err
-	}
-	return w[id], nil
-}

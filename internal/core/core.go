@@ -82,10 +82,10 @@ type RunConfig struct {
 	CSaba float64
 	// Shards is the distributed-controller shard count; 0 → 4.
 	Shards int
-	// EngineShards selects the simulation engine's event-loop sharding
-	// (netsim.Engine.SetShards): 0 or 1 runs one shard, -1 derives one
-	// shard per fabric partition (pod), and n >= 2 uses n shards; every
-	// setting produces identical results. Distinct from Shards, which shards the distributed
+	// EngineShards selects the simulation engine's event-loop sharding,
+	// passed to netsim.Engine.SetShards verbatim: 0 or 1 runs one shard,
+	// -1 one shard per fabric partition (pod); both produce identical
+	// results. Distinct from Shards, which shards the distributed
 	// controller mesh, not the simulator.
 	EngineShards int
 	// FECNEfficiency tunes the baseline's congested-link utilization;

@@ -32,9 +32,9 @@ type HyperscaleConfig struct {
 	// this scale, so cross traffic is opt-in for sweeps that study it.
 	CrossPod float64
 	Seed     int64
-	// Shards selects the engine sharding: 0 → one shard per pod (the
-	// default this figure exists to exercise), 1 → one shard, n ≥ 2 → n
-	// shards.
+	// Shards selects the engine sharding (netsim.Engine.SetShards): -1
+	// = one shard per pod, 1 = one shard; 0 → -1, the setting this
+	// figure exists to exercise.
 	Shards int
 	// CompareSerial additionally replays the identical workload on the
 	// engine's full-recompute reference (one shard, SetFullRecompute:
@@ -68,7 +68,7 @@ func (c *HyperscaleConfig) fill() {
 		c.Seed = DefaultSeed
 	}
 	if c.Shards == 0 {
-		c.Shards = -1 // engine convention: one shard per pod
+		c.Shards = -1
 	}
 }
 
@@ -76,6 +76,7 @@ func (c *HyperscaleConfig) fill() {
 type hyperRun struct {
 	admitted  int
 	completed int
+	shards    int
 	makespan  float64
 	wallSecs  float64
 	eventsSec float64
@@ -117,7 +118,7 @@ func FigHyperscale(cfg HyperscaleConfig) (*HyperscaleResult, error) {
 	out := &HyperscaleResult{
 		Hosts:        len(top.Hosts()),
 		Pods:         part.NumParts(),
-		Shards:       shardCount(cfg.Shards, part),
+		Shards:       sharded.shards,
 		Flows:        sharded.admitted,
 		Completed:    sharded.completed,
 		Makespan:     sharded.makespan,
@@ -145,16 +146,6 @@ func FigHyperscale(cfg HyperscaleConfig) (*HyperscaleResult, error) {
 		}
 	}
 	return out, nil
-}
-
-func shardCount(shards int, part *topology.Partition) int {
-	if shards < 0 {
-		return part.NumParts()
-	}
-	if shards <= 1 {
-		return 1
-	}
-	return shards
 }
 
 // runHyperscale replays the seeded workload once on a fresh network,
@@ -235,6 +226,7 @@ func runHyperscale(top *topology.Topology, cfg HyperscaleConfig, shards int, ful
 	}
 	run.wallSecs = time.Since(start).Seconds()
 	run.makespan = e.Now()
+	run.shards = e.Shards()
 	if run.wallSecs > 0 {
 		run.eventsSec = float64(events.Value()-ev0) / run.wallSecs
 	}

@@ -23,7 +23,7 @@ type ScaleConfig struct {
 	Full      bool // paper-scale 54/102/108 fabric
 	// EngineShards selects the simulation engine's event-loop sharding
 	// for every run of the study: 0 or 1 = one shard, -1 = one shard per
-	// pod, n >= 2 = n shards (core.RunConfig.EngineShards).
+	// pod (core.RunConfig.EngineShards).
 	EngineShards int
 }
 

@@ -106,8 +106,8 @@ func (m *engineMetrics) utilGauges(alloc string) (max, mean *telemetry.Gauge) {
 // back to a full recompute.
 //
 // The event loop is sharded (shard.go): one completion heap per event
-// shard, a single shard by default, more via SetShards. Every shard
-// count produces bit-for-bit the completion times of the full-recompute
+// shard, a single shard by default, one per pod via SetShards(-1). Both
+// settings produce bit-for-bit the completion times of the full-recompute
 // reference (SetFullRecompute), which re-rates the whole network after
 // every change and uses neither scoping, allocator clones nor lookahead
 // windows; the differential tests hold the engine to that contract.

@@ -13,14 +13,14 @@ import (
 // common datacenter workload shape — most traffic stays inside a pod —
 // by letting isolated shards advance many completions per round.
 //
-// A shard is *isolated* this round when no attached flow couples any of
-// its pods to the rest of the fabric (Network.podCoupled: a flow couples
-// a pod iff its path crosses a partition cut and touches the pod). Every
-// flow sharing a link with an isolated pod's flow is itself pod-local and
-// homed on the same shard, so the shard's completions, the recomputes
-// they trigger, and the re-projections those produce are all confined to
-// the shard until either (a) a non-isolated shard's event or (b) a
-// scheduled timer runs. The earliest such external event is the safe
+// A shard is *isolated* this round when no attached flow couples a pod it
+// owns (its own pod, or every pod at one shard) to the rest of the
+// fabric (Network.podCoupled: a flow couples a pod iff its path crosses
+// a partition cut and touches the pod). Every flow sharing a link with
+// an isolated pod's flow is itself pod-local and homed on the same
+// shard, so the shard's completions, the recomputes they trigger, and
+// the re-projections those produce are all confined to the shard until
+// either (a) a non-isolated shard's event or (b) a scheduled timer runs. The earliest such external event is the safe
 // horizon H = min(HorizonExcept(isolated), next timer, run horizon):
 // below H (strictly, by timeSlack) an isolated shard may emulate barrier
 // rounds locally — pop the due batch, detach the retired flows, recompute
@@ -61,18 +61,17 @@ func (e *Engine) lookaheadReady() bool {
 }
 
 // computeIsolation refreshes the per-shard isolation flags from the
-// network's pod-coupling counters.
+// network's pod-coupling counters: a shard is isolated while every pod
+// it owns is uncoupled.
 func (e *Engine) computeIsolation() {
-	sh := e.sh
-	for i, s := range sh.shards {
-		iso := true
-		for _, p := range s.pods {
-			if e.net.podCoupled(p) {
-				iso = false
-				break
-			}
+	iso := e.sh.isolated
+	for i := range iso {
+		iso[i] = true
+	}
+	for p := 0; p < e.sh.part.NumParts(); p++ {
+		if e.net.podCoupled(int32(p)) {
+			iso[min(p, len(iso)-1)] = false // pod p's shard: p per pod, else 0
 		}
-		sh.isolated[i] = iso
 	}
 }
 

@@ -81,7 +81,7 @@ func runPodLocal(t *testing.T, seed int64, shards int, full, pure bool, reg *tel
 		Src: podHosts[0][0], Dst: podHosts[1][0], Bits: 2e3,
 	}})
 	if reshard {
-		for i, n := range []int{5, 2, -1} {
+		for i, n := range []int{1, -1, 1} {
 			n := n
 			if err := e.At(0.8+0.9*float64(i), func(e *Engine) { e.SetShards(n) }); err != nil {
 				t.Fatal(err)
@@ -190,8 +190,9 @@ func TestLookaheadReshardStressParallel(t *testing.T) {
 }
 
 // Satellite regression: the per-shard flows_active and
-// completion_heap_size gauges must drain to zero when their shard
-// retires — SetShards shrinking the count or dropping to one shard.
+// completion_heap_size gauges must drain to zero when their shards
+// retire (SetShards(1)), and rebind and republish when the engine
+// returns to one shard per pod.
 func TestShardGaugesDrainOnRetire(t *testing.T) {
 	top := diffFabric(t)
 	part := top.Partition()
@@ -210,12 +211,12 @@ func TestShardGaugesDrainOnRetire(t *testing.T) {
 	gauge := func(name string, shard string) float64 {
 		return reg.Gauge(telemetry.Label(name, "engine", e.engineID, "shard", shard)).Value()
 	}
-	e.SetShards(3) // 2 pods folded onto 3 shards: shard 2 owns no pod
-	if got := gauge("netsim.flows_active", "0"); got != 3 {
-		t.Fatalf("shard 0 flows_active = %v, want 3", got)
-	}
-	if got := gauge("netsim.flows_active", "1"); got != 3 {
-		t.Fatalf("shard 1 flows_active = %v, want 3", got)
+	shards := []string{"0", "1"} // diffFabric has two pods
+	e.SetShards(-1)
+	for _, shard := range shards {
+		if got := gauge("netsim.flows_active", shard); got != 3 {
+			t.Fatalf("per-pod: shard %s flows_active = %v, want 3", shard, got)
+		}
 	}
 	// Project completions onto the shard heaps with one bounded step.
 	stop := false
@@ -225,28 +226,29 @@ func TestShardGaugesDrainOnRetire(t *testing.T) {
 	if err := e.RunUntil(math.Inf(1), func() bool { return stop }); err != nil {
 		t.Fatal(err)
 	}
-	if got := gauge("netsim.completion_heap_size", "0"); got != 3 {
-		t.Fatalf("shard 0 heap gauge = %v, want 3", got)
-	}
-
-	e.SetShards(2) // shard 2 retires; 0 and 1 rebind
-	if got := gauge("netsim.flows_active", "2"); got != 0 {
-		t.Errorf("retired shard 2 flows_active = %v, want 0", got)
-	}
-	if got := gauge("netsim.completion_heap_size", "2"); got != 0 {
-		t.Errorf("retired shard 2 heap gauge = %v, want 0", got)
-	}
-	if got := gauge("netsim.flows_active", "0") + gauge("netsim.flows_active", "1"); got != 6 {
-		t.Errorf("surviving shards' flows_active sum = %v, want 6", got)
+	for _, shard := range shards {
+		if got := gauge("netsim.completion_heap_size", shard); got != 3 {
+			t.Fatalf("per-pod: shard %s heap gauge = %v, want 3", shard, got)
+		}
 	}
 
 	e.SetShards(1) // one shard: every per-shard gauge drains
-	for _, shard := range []string{"0", "1", "2"} {
+	for _, shard := range shards {
 		if got := gauge("netsim.flows_active", shard); got != 0 {
 			t.Errorf("one shard: shard %s flows_active = %v, want 0", shard, got)
 		}
 		if got := gauge("netsim.completion_heap_size", shard); got != 0 {
 			t.Errorf("one shard: shard %s heap gauge = %v, want 0", shard, got)
+		}
+	}
+
+	e.SetShards(-1) // per pod again: the gauges rebind and republish
+	for _, shard := range shards {
+		if got := gauge("netsim.flows_active", shard); got != 3 {
+			t.Errorf("per-pod again: shard %s flows_active = %v, want 3", shard, got)
+		}
+		if got := gauge("netsim.completion_heap_size", shard); got != 3 {
+			t.Errorf("per-pod again: shard %s heap gauge = %v, want 3", shard, got)
 		}
 	}
 }

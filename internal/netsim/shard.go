@@ -21,10 +21,11 @@ import (
 // intra-pod work — component allocation, due-completion collection,
 // and bounded lookahead windows (lookahead.go) — runs concurrently on a
 // persistent worker pool (workers.go). It is the engine's only event
-// loop: an engine starts with one shard. Every shard count is
-// bit-for-bit identical to the full-recompute reference; DESIGN.md §13
-// carries the determinism argument, and the differential gate asserts it
-// for all six allocators including under link-flap schedules.
+// loop: an engine starts with one shard. Both settings, one shard and
+// one per pod, are bit-for-bit identical to the full-recompute
+// reference; DESIGN.md §13 carries the determinism argument, and the
+// differential gate asserts it for all six allocators including under
+// link-flap schedules.
 
 // dueCand is one completion candidate popped during due collection: the
 // flow and the heap key it carried when popped.
@@ -44,7 +45,8 @@ type retirement struct {
 	id  int
 }
 
-// engineShard is one per-partition event shard.
+// engineShard is one event shard: the whole fabric when the engine runs
+// one shard, otherwise the fabric partition (pod) with its own index.
 type engineShard struct {
 	completions sim.IndexedHeap
 	alloc       Allocator // per-shard clone; nil while the union path is in force
@@ -53,12 +55,11 @@ type engineShard struct {
 	stopAt      float64   // first (key, id) that failed the due predicate;
 	stopID      int       // +Inf when the shard's heap was exhausted
 
-	pods   []int32 // fabric partitions folded onto this shard
-	active int     // active flows homed here (per-shard gauge source)
+	active int // active flows homed here (per-shard gauge source)
 
 	// Per-shard labeled gauges, resolved at SetShards/SetTelemetry so
 	// the event loop never does registry lookups (telemetry.Label
-	// allocates). Zeroed when the shard retires (SetShards shrink).
+	// allocates). Zeroed when the shard retires (SetShards(1)).
 	gActive *telemetry.Gauge // netsim.flows_active{engine,shard}
 	gHeap   *telemetry.Gauge // netsim.completion_heap_size{engine,shard}
 
@@ -96,20 +97,22 @@ type shardedState struct {
 	windowH float64 // runLookahead's safe horizon for the round in flight
 }
 
-// SetShards splits the engine into n per-partition event shards
-// coordinated by a conservative virtual-time barrier. n < 0 derives one
-// shard per fabric partition of the topology; n = 0 and n = 1 both mean
-// one shard, the engine's initial state. Safe to call between steps,
-// even mid-run: projected completions migrate to their owning heaps.
-// Flow ownership is the fabric partition of the flow's source host
-// folded onto the shard count, so any n is valid on any topology.
+// SetShards selects the engine's event-loop sharding. n < 0 runs one
+// shard per fabric partition (pod) of the topology, coordinated by a
+// conservative virtual-time barrier, and each flow belongs to the shard
+// of its source host's pod; n = 0 and n = 1 both run one shard owning
+// every pod, the engine's initial state. Any n ≥ 2 panics. Safe to call
+// between steps, even mid-run: projected completions migrate to their
+// owning heaps.
 func (e *Engine) SetShards(n int) {
 	e.mutating("SetShards")
+	if n >= 2 {
+		panic(fmt.Sprintf("netsim: SetShards(%d): want -1 (one shard per pod), 0 or 1 (one shard)", n))
+	}
 	part := e.net.partition()
 	if n < 0 {
 		n = part.NumParts()
-	}
-	if n < 1 {
+	} else {
 		n = 1
 	}
 	old := e.sh
@@ -127,10 +130,6 @@ func (e *Engine) SetShards(n int) {
 		sh.shards[i] = &shardBuf[i]
 	}
 	sh.busy = make([]int, 0, n)
-	for p := 0; p < part.NumParts(); p++ {
-		s := sh.shards[p%n]
-		s.pods = append(s.pods, int32(p))
-	}
 	e.sh = sh // homeOf consults e.sh
 	if old != nil {
 		e.stopShards(old)
@@ -175,9 +174,9 @@ func (e *Engine) stopShards(old *shardedState) {
 }
 
 // retireShardGauges drains the per-shard gauges of a replaced shard set
-// to zero, so a shard retired by a shrinking SetShards does not leak its
-// last reading into the telemetry snapshot forever; the shards that
-// survive rebind and republish.
+// to zero, so the per-pod shards retired by SetShards(1) do not leak
+// their last readings into the telemetry snapshot forever; a later
+// return to per-pod shards rebinds and republishes them.
 func retireShardGauges(old *shardedState) {
 	for _, s := range old.shards {
 		if s.gActive != nil {
@@ -235,10 +234,10 @@ func (e *Engine) redistribute(src *sim.IndexedHeap) {
 	}
 }
 
-// homeOf maps a flow to its owning shard: the fabric partition of its
-// source host, folded onto the shard count. Src is immutable for the
-// life of a FlowID slot, so ownership never moves while a flow is
-// active — reroutes and stalls keep a flow on its home heap, and the
+// homeOf maps a flow to its owning shard: shard 0 at one shard,
+// otherwise the fabric partition of its source host. Src is immutable
+// for the life of a FlowID slot, so ownership never moves while a flow
+// is active — reroutes and stalls keep a flow on its home heap, and the
 // FlowID-recycling free list never changes a slot's owner mid-flight.
 func (e *Engine) homeOf(id FlowID) int {
 	if len(e.sh.shards) == 1 {
@@ -248,7 +247,7 @@ func (e *Engine) homeOf(id FlowID) int {
 	if p < 0 {
 		p = 0 // defensive: sources are hosts, never spine-layer nodes
 	}
-	return p % len(e.sh.shards)
+	return p
 }
 
 // heapFix (re)keys a flow's projected completion on its home shard's
@@ -300,7 +299,7 @@ func (e *Engine) runPhase(busy []int, fn func(e *Engine, i int)) {
 //
 // netsim.events meters the discrete events themselves — completions
 // retired plus timers fired, minimum one per round — so events/s
-// measures simulation throughput at every shard count.
+// measures simulation throughput at both shard settings.
 func (e *Engine) step(horizon float64) error {
 	sh := e.sh
 	if e.dirty {
@@ -445,7 +444,7 @@ func (e *Engine) collectShardDue(i int) {
 // pure function of (key, id), so the re-insert is observably
 // identical), and the survivors — merged and sorted by (key, id) — fix
 // the completion sequence, and with it the callback and FlowID-recycling
-// order, independently of the shard count.
+// order, independently of the sharding.
 func (e *Engine) collectDue(tNext float64) []dueCand {
 	sh := e.sh
 	sh.busy = sh.busy[:0]

@@ -14,12 +14,11 @@ import (
 )
 
 // The sharded differential gate: for every allocator, the event loop at
-// every shard count (per-pod heaps, allocator clones, barrier-coordinated
-// due collection, lookahead windows) must produce bit-for-bit the
-// completion times of the full-recompute reference — one shard,
-// SetFullRecompute(true): no scoping, no clones, no lookahead windows —
-// with and without a link-flap schedule, and with shard counts of one,
-// one per pod, and more than the pod count.
+// one shard and at one shard per pod (per-pod heaps, allocator clones,
+// barrier-coordinated due collection, lookahead windows) must produce
+// bit-for-bit the completion times of the full-recompute reference — one
+// shard, SetFullRecompute(true): no scoping, no clones, no lookahead
+// windows — with and without a link-flap schedule.
 
 func assertSameVector(t *testing.T, ctx string, want, got []float64) {
 	t.Helper()
@@ -47,16 +46,11 @@ func TestDifferentialShardedMatchesSerial(t *testing.T) {
 				refReg := telemetry.NewRegistry()
 				oneReg := telemetry.NewRegistry()
 				shardReg := telemetry.NewRegistry()
-				oddReg := telemetry.NewRegistry()
 				want := runDifferentialScenario(t, name, seed, true, refReg, false, 1)
 				one := runDifferentialScenario(t, name, seed, false, oneReg, false, 1)
 				got := runDifferentialScenario(t, name, seed, false, shardReg, false, -1)
-				// A shard count exceeding the pod count folds ownership via
-				// modulo; the result must not change.
-				odd := runDifferentialScenario(t, name, seed, false, oddReg, false, 5)
 				assertSameVector(t, name+" shards=1", want, one)
 				assertSameVector(t, name+" shards=per-pod", want, got)
-				assertSameVector(t, name+" shards=5", want, odd)
 				if refReg.Counter("netsim.scoped_recomputes").Value() != 0 {
 					t.Errorf("seed %d: the full-recompute reference ran scoped recomputes", seed)
 				}
@@ -96,7 +90,7 @@ func TestDifferentialShardedWithFlaps(t *testing.T) {
 	}
 }
 
-// Full recompute must also be independent of the shard count: the
+// Full recompute must also be independent of the sharding: the
 // reference's union path runs unchanged over per-pod heaps, so one
 // allocator with flaps suffices here.
 func TestDifferentialShardedFullRecompute(t *testing.T) {
@@ -137,10 +131,9 @@ func TestSetShardsMidRunMigration(t *testing.T) {
 			}
 		}
 		if reshard {
-			// Flip one shard → per-pod → one shard → three shards while
-			// flows are in flight; each flip migrates the projected
-			// completions.
-			for i, n := range []int{-1, 1, 3} {
+			// Flip one shard → per-pod → one shard → per-pod while flows
+			// are in flight; each flip migrates the projected completions.
+			for i, n := range []int{-1, 1, -1} {
 				n := n
 				if err := e.At(0.05+0.1*float64(i), func(e *Engine) { e.SetShards(n) }); err != nil {
 					t.Fatal(err)
@@ -252,8 +245,8 @@ func TestOneShardEngineRegistersNoShardGauges(t *testing.T) {
 	}
 }
 
-// Partition-aware ownership: every flow lands on the heap of its source
-// pod's shard when the shard count matches the pod count.
+// Partition-aware ownership: at one shard per pod, every flow lands on
+// the heap of its source pod's shard.
 func TestShardOwnershipFollowsSourcePod(t *testing.T) {
 	top := diffFabric(t) // 2 pods
 	part := top.Partition()
@@ -292,6 +285,23 @@ func TestShardOwnershipFollowsSourcePod(t *testing.T) {
 		if !e.sh.shards[want].completions.Contains(int(id)) {
 			t.Errorf("flow %d (src pod %d) not on its home shard heap", id, want)
 		}
+	}
+}
+
+// SetShards accepts only the two settings, one shard (0 or 1) and one per
+// pod (-1): any larger count panics, naming the method and the value.
+func TestSetShardsRejectsFold(t *testing.T) {
+	top := diffFabric(t)
+	net := NewNetwork(top)
+	e := NewEngine(net, NewIdealMaxMin(net))
+	for _, n := range []int{2, 5} {
+		msg := panicMessage(func() { e.SetShards(n) })
+		if !strings.Contains(msg, fmt.Sprintf("SetShards(%d)", n)) {
+			t.Errorf("SetShards(%d): got %q, want a panic naming SetShards(%d)", n, msg, n)
+		}
+	}
+	if e.Shards() != 1 {
+		t.Errorf("Shards() = %d after rejected calls, want 1 (unchanged)", e.Shards())
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Objective is one additive term of the optimization: a differentiable
@@ -468,25 +467,4 @@ func GridMinimize(objs []Objective, opts Options, units int) ([]float64, error) 
 		return nil, errors.New("solver: grid search found no feasible point")
 	}
 	return best, nil
-}
-
-// EqualSplit returns the max-min fair weight vector (the baseline the
-// paper contrasts with): every objective receives Total/n.
-func EqualSplit(n int, totalShare float64) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = totalShare / float64(n)
-	}
-	return w
-}
-
-// SortedByWeight returns indices of w ordered by descending weight;
-// useful for reporting which applications won bandwidth.
-func SortedByWeight(w []float64) []int {
-	idx := make([]int, len(w))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return w[idx[a]] > w[idx[b]] })
-	return idx
 }

@@ -175,11 +175,10 @@ func TestMinimizeNeverWorseThanEqualSplit(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		eq := EqualSplit(n, 1)
 		vw, ve := 0.0, 0.0
 		for i := range objs {
 			vw += objs[i].Value(w[i])
-			ve += objs[i].Value(eq[i])
+			ve += objs[i].Value(1 / float64(n)) // max-min's equal split
 		}
 		return vw <= ve+1e-9
 	}
@@ -237,22 +236,6 @@ func TestGridMinimizeErrors(t *testing.T) {
 	objs := []Objective{polyObj(1), polyObj(1), polyObj(1)}
 	if _, err := GridMinimize(objs, Options{}, 2); err == nil {
 		t.Error("grid smaller than objective count should fail")
-	}
-}
-
-func TestEqualSplit(t *testing.T) {
-	w := EqualSplit(4, 0.8)
-	for _, x := range w {
-		if math.Abs(x-0.2) > 1e-12 {
-			t.Errorf("EqualSplit = %v, want all 0.2", w)
-		}
-	}
-}
-
-func TestSortedByWeight(t *testing.T) {
-	idx := SortedByWeight([]float64{0.1, 0.7, 0.2})
-	if idx[0] != 1 || idx[1] != 2 || idx[2] != 0 {
-		t.Errorf("SortedByWeight = %v, want [1 2 0]", idx)
 	}
 }
 
