@@ -138,11 +138,12 @@ type Engine struct {
 	sh *shardedState
 
 	// Recompute scratch, reused across steps: the coordinator's component
-	// walk (scope.go) and the flow marks every walk shares. epoch is
-	// atomic because lookahead windows walk concurrently and draw their
-	// epochs from the same counter as the coordinator.
+	// walk (scope.go) and the flow and link marks every walk shares.
+	// epoch is atomic because lookahead windows walk concurrently and draw
+	// their epochs from the same counter as the coordinator.
 	walk     scopeWalk
 	flowSeen []int64
+	linkSeen []int64 // sized to the link count once, in NewEngine
 	epoch    atomic.Int64
 
 	// Completion-callback accounting for the lookahead gate: windows
@@ -154,7 +155,7 @@ type Engine struct {
 	onDoneCount   int
 	pureCallbacks bool
 	inPure        bool
-	poolFinalizer bool // worker-pool cleanup finalizer registered
+	pool          *poolRef // worker-pool finalizer handle; nil until a pool starts
 
 	// Stalled-flow tracking: flows parked with no live path after a link
 	// failure. stalled may hold stale or duplicate entries (slots recycle);
@@ -189,6 +190,7 @@ func NewEngine(net *Network, alloc Allocator) *Engine {
 		alloc:    alloc,
 		engineID: id,
 		tel:      newEngineMetrics(telemetry.Default, id),
+		linkSeen: make([]int64, len(net.linkFlows)),
 	}
 	e.SetShards(1)
 	return e
@@ -411,22 +413,18 @@ func (e *Engine) takeDone(id FlowID) func(*Engine, FlowID) {
 // the only ones whose utilization can have changed).
 func (e *Engine) observeUtilization() {
 	ep := e.epoch.Add(1)
-	w := &e.walk
-	for len(w.linkSeen) < len(e.net.linkFlows) {
-		w.linkSeen = append(w.linkSeen, 0)
-	}
 	var sum, max float64
 	n := 0
-	for _, id := range w.ids {
+	for _, id := range e.walk.ids {
 		f := &e.net.flows[id]
 		if !f.active {
 			continue
 		}
 		for _, l := range f.Path {
-			if w.linkSeen[l] == ep || len(e.net.linkFlows[l]) == 0 {
+			if e.linkSeen[l] == ep || len(e.net.linkFlows[l]) == 0 {
 				continue
 			}
-			w.linkSeen[l] = ep
+			e.linkSeen[l] = ep
 			u := e.net.LinkUtilization(l)
 			sum += u
 			if u > max {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"saba/internal/topology"
@@ -72,16 +73,17 @@ type Filler struct {
 	freeze  []FlowID // per-round scratch: flows of the bottleneck class
 
 	// The bottleneck search keeps one cached minimum per link — its
-	// smallest per-class unit entitlement — so each round scans one float
-	// per touched link instead of every class of every link, and a freeze
-	// refreshes only the links the frozen flows cross. Scanning keyv in
-	// registration order with a strict < reproduces the exhaustive scan's
+	// smallest per-class unit entitlement — in a winner tree over touched
+	// indices, so each round reads the global minimum at the root and a
+	// freeze re-keys only the links the frozen flows cross, each in
+	// O(log touched). The tree picks the lowest touched index among equal
+	// minimal keys, which is the exhaustive registration-order scan's
 	// pick (including exact ties) bit for bit.
-	keyv     []float64 // per touched index: cached min unit entitlement
-	bestc    []int32   // per touched index: arg-min class; -1 = no demand
-	cntFlat  []int32   // per link: unfixed-flow count (flat fast path)
-	tidx     []int32   // per link: index into touched (valid while inRun)
-	mark     []int64   // per link: last freeze round that refreshed its key
+	keys     minTree // leaf i: cached min unit entitlement of touched[i]
+	bestc    []int32 // per touched index: arg-min class; -1 = no demand
+	cntFlat  []int32 // per link: unfixed-flow count (flat fast path)
+	tidx     []int32 // per link: index into touched (valid while inRun)
+	mark     []int64 // per link: last freeze round that refreshed its key
 	affected []topology.LinkID
 
 	// additive makes fix() add to existing rates instead of overwriting —
@@ -225,24 +227,19 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 	// share, and *every* unfixed flow in that pair has exactly that unit
 	// entitlement (it crosses the pair, so it cannot be higher; the pair
 	// is the global minimum, so it cannot be lower). Each round therefore
-	// scans the per-link cached minima, freezes a whole class at once,
-	// and re-keys only the links the frozen flows cross.
-	fl.keyv = fl.keyv[:0]
+	// reads the minimum of the per-link cached minima, freezes a whole
+	// class at once, and re-keys only the links the frozen flows cross.
+	fl.keys.key = slices.Grow(fl.keys.key[:0], len(fl.touched)+1) // +1: build's sentinel
 	fl.bestc = fl.bestc[:0]
 	for _, l := range fl.touched {
 		key, q := fl.linkKey(l, cls)
-		fl.keyv = append(fl.keyv, key)
+		fl.keys.key = append(fl.keys.key, key)
 		fl.bestc = append(fl.bestc, int32(q))
 	}
+	fl.keys.build()
 	remaining := len(fl.pending)
 	for remaining > 0 {
-		best := math.Inf(1)
-		ti := -1
-		for i, key := range fl.keyv {
-			if key < best {
-				best, ti = key, i
-			}
-		}
+		ti, best := fl.keys.min()
 		if ti < 0 {
 			break // no demand left (cannot happen while remaining > 0)
 		}
@@ -275,7 +272,8 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 		for _, l := range fl.affected {
 			ati := int(fl.tidx[l])
 			key, q := fl.linkKey(l, cls)
-			fl.keyv[ati], fl.bestc[ati] = key, int32(q)
+			fl.keys.set(ati, key)
+			fl.bestc[ati] = int32(q)
 		}
 	}
 
@@ -326,29 +324,24 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 			fl.cntFlat[l] += int32(f.Mult)
 		}
 	}
-	fl.keyv = fl.keyv[:0]
+	fl.keys.key = slices.Grow(fl.keys.key[:0], len(fl.touched)+1) // +1: build's sentinel
 	for _, l := range fl.touched {
 		n := fl.cntFlat[l]
 		fl.sumW[l] = float64(n)
 		if n <= 0 {
-			fl.keyv = append(fl.keyv, math.Inf(1))
+			fl.keys.key = append(fl.keys.key, math.Inf(1))
 			continue
 		}
 		c := fl.capRem[l]
 		if c < 0 {
 			c = 0
 		}
-		fl.keyv = append(fl.keyv, c/float64(n))
+		fl.keys.key = append(fl.keys.key, c/float64(n))
 	}
+	fl.keys.build()
 	remaining := len(fl.pending)
 	for remaining > 0 {
-		best := math.Inf(1)
-		ti := -1
-		for i, key := range fl.keyv {
-			if key < best {
-				best, ti = key, i
-			}
-		}
+		ti, best := fl.keys.min()
 		if ti < 0 {
 			break // no demand left (cannot happen while remaining > 0)
 		}
@@ -393,14 +386,14 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 			ati := int(fl.tidx[l])
 			n := fl.cntFlat[l]
 			if n <= 0 || fl.sumW[l] <= 1e-12 {
-				fl.keyv[ati] = math.Inf(1)
+				fl.keys.set(ati, math.Inf(1))
 				continue
 			}
 			c := fl.capRem[l]
 			if c < 0 {
 				c = 0
 			}
-			fl.keyv[ati] = c / fl.sumW[l]
+			fl.keys.set(ati, c/fl.sumW[l])
 		}
 	}
 	for _, l := range fl.touched {
@@ -488,4 +481,80 @@ func (fl *Filler) demand(l topology.LinkID, cls Classifier) float64 {
 		}
 	}
 	return w
+}
+
+// minTree is a winner (tournament) tree over a key vector: the bottleneck
+// search of progressive filling. Leaves sit in index order in a
+// power-of-two layer, so a node's left subtree holds lower indices than
+// its right, and a node keeps its left child's winner unless the right
+// key is strictly smaller: the root names the lowest index among equal
+// minimal keys, exactly the pick of an ascending scan with a strict <.
+// Padding leaves name a +Inf sentinel slot after the real keys, and NaN
+// keys are stored as +Inf; neither a +Inf nor a NaN key can win over a
+// finite one, as the scan never picks them.
+type minTree struct {
+	key []float64 // leaf keys, then the +Inf sentinel while built
+	win []int32   // win[1] is the root; node p's children are 2p, 2p+1
+}
+
+// build arranges the tree over key, which holds one key per leaf, in
+// O(len(key)).
+func (t *minTree) build() {
+	n := len(t.key)
+	for i, k := range t.key {
+		if k != k {
+			t.key[i] = math.Inf(1)
+		}
+	}
+	t.key = append(t.key, math.Inf(1))
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	if cap(t.win) < 2*size {
+		t.win = make([]int32, 2*size)
+	}
+	t.win = t.win[:2*size]
+	for i := 0; i < size; i++ {
+		t.win[size+i] = int32(min(i, n))
+	}
+	for p := size - 1; p >= 1; p-- {
+		t.win[p] = t.pick(t.win[2*p], t.win[2*p+1])
+	}
+}
+
+// pick returns the winner of a node with children winners l and r.
+func (t *minTree) pick(l, r int32) int32 {
+	if t.key[r] < t.key[l] {
+		return r
+	}
+	return l
+}
+
+// min returns the index and key of the smallest finite key, or (-1,
+// +Inf) when every key is +Inf or NaN.
+func (t *minTree) min() (int, float64) {
+	i := t.win[1]
+	k := t.key[i]
+	if !(k < math.Inf(1)) {
+		return -1, k
+	}
+	return int(i), k
+}
+
+// set re-keys leaf i and re-derives its path to the root, stopping at
+// the first node whose winner is unchanged and is not leaf i: above it
+// nothing can change.
+func (t *minTree) set(i int, k float64) {
+	if k != k {
+		k = math.Inf(1)
+	}
+	t.key[i] = k
+	for p := (len(t.win)/2 + i) >> 1; p >= 1; p >>= 1 {
+		w := t.pick(t.win[2*p], t.win[2*p+1])
+		if w == t.win[p] && w != int32(i) {
+			return
+		}
+		t.win[p] = w
+	}
 }

@@ -167,7 +167,7 @@ func (e *Engine) runLookahead(h float64) error {
 // re-project — repeating until the shard's next completion reaches the
 // horizon. Runs on a worker goroutine; touches only the shard's own
 // flows, links, heap, and scratch (plus disjoint owner-only marks in the
-// engine-shared flowSeen array).
+// engine-shared flowSeen and linkSeen arrays).
 func (e *Engine) runWindow(i int) {
 	s, h := e.sh.shards[i], e.sh.windowH
 	s.retired = s.retired[:0]
@@ -207,7 +207,7 @@ func (e *Engine) runWindow(i int) {
 // identical to a run without windows.
 func (e *Engine) windowRecompute(s *engineShard, tb float64) {
 	w := &s.walk
-	w.expand(e.net, e.flowSeen, e.epoch.Add(1), s.seeds, nil)
+	w.expand(e.net, e.flowSeen, e.linkSeen, e.epoch.Add(1), s.seeds, nil)
 	w.save(e.net)
 	for c := 0; c+1 < len(w.off); c++ {
 		allocComp(s.alloc, e.net, w.comp(c))

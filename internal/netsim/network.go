@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"saba/internal/topology"
 )
@@ -289,6 +290,12 @@ func (n *Network) AddFlow(now float64, spec FlowSpec) (FlowID, error) {
 // Engine uses it to admit a job stage's whole shuffle fan-out under a
 // single rate recomputation.
 func (n *Network) AddFlows(now float64, specs []FlowSpec) ([]FlowID, error) {
+	// Reserve the batch's new slots at once: slot by slot, a fresh
+	// network admitting one large wave would allocate its flow table
+	// several times over while doubling it.
+	if grow := len(specs) - len(n.free); grow > 0 {
+		n.flows = slices.Grow(n.flows, grow)
+	}
 	ids := make([]FlowID, 0, len(specs))
 	for _, spec := range specs {
 		id, err := n.AddFlow(now, spec)

@@ -20,16 +20,15 @@ import (
 // scopeWalk is the scratch of one component walk. ids holds every
 // component's flows contiguously, each component sorted ascending, with
 // component c at ids[off[c]:off[c+1]]; old holds the rates in force
-// before the recompute, parallel to ids. linkSeen carries the walk's
-// epoch marks; flow marks live in the engine-shared flowSeen array,
-// which is safe for concurrent windows because an isolated shard's
-// components reach only its own flows.
+// before the recompute, parallel to ids. The walk's epoch marks live in
+// the engine-shared flowSeen and linkSeen arrays, which is safe for
+// concurrent windows because each walk draws a unique epoch and an
+// isolated shard's components reach only its own flows and links.
 type scopeWalk struct {
-	ids      []FlowID
-	off      []int
-	old      []float64
-	stack    []topology.LinkID // BFS worklist
-	linkSeen []int64
+	ids   []FlowID
+	off   []int
+	old   []float64
+	stack []topology.LinkID // BFS worklist
 }
 
 // expand replaces the walk's components with those the seeds reach in
@@ -37,24 +36,21 @@ type scopeWalk struct {
 // active seed flow with everything connected to it. Inactive seed flows
 // are skipped and a detached stalled flow seeds its last known path, so
 // the concatenation of the components is exactly the dirty union.
-// flowSeen must cover every flow slot.
+// flowSeen must cover every flow slot and linkSeen every link.
 //
 // Seed order is deterministic, so discovery order — and with it the
 // component list — is too. Component order is otherwise free:
 // components share no links by construction, so AllocateScoped on one is
 // independent of every other, which concurrent allocation relies on.
-func (w *scopeWalk) expand(net *Network, flowSeen []int64, ep int64, links []topology.LinkID, flows []FlowID) {
+func (w *scopeWalk) expand(net *Network, flowSeen, linkSeen []int64, ep int64, links []topology.LinkID, flows []FlowID) {
 	w.ids, w.off = w.ids[:0], w.off[:0]
-	for len(w.linkSeen) < len(net.linkFlows) {
-		w.linkSeen = append(w.linkSeen, 0)
-	}
 	for _, l := range links {
-		if w.linkSeen[l] == ep {
+		if linkSeen[l] == ep {
 			continue
 		}
-		w.linkSeen[l] = ep
+		linkSeen[l] = ep
 		w.stack = append(w.stack[:0], l)
-		w.grow(net, flowSeen, ep, len(w.ids))
+		w.grow(net, flowSeen, linkSeen, ep, len(w.ids))
 	}
 	for _, id := range flows {
 		f := &net.flows[id]
@@ -66,19 +62,19 @@ func (w *scopeWalk) expand(net *Network, flowSeen []int64, ep int64, links []top
 		w.ids = append(w.ids, id)
 		w.stack = w.stack[:0]
 		for _, l := range f.Path {
-			if w.linkSeen[l] != ep {
-				w.linkSeen[l] = ep
+			if linkSeen[l] != ep {
+				linkSeen[l] = ep
 				w.stack = append(w.stack, l)
 			}
 		}
-		w.grow(net, flowSeen, ep, start)
+		w.grow(net, flowSeen, linkSeen, ep, start)
 	}
 	w.off = append(w.off, len(w.ids))
 }
 
 // grow drains the link stack into ids and closes out the component that
 // started at start (dropped when the seed reached no flows).
-func (w *scopeWalk) grow(net *Network, flowSeen []int64, ep int64, start int) {
+func (w *scopeWalk) grow(net *Network, flowSeen, linkSeen []int64, ep int64, start int) {
 	for len(w.stack) > 0 {
 		l := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
@@ -89,8 +85,8 @@ func (w *scopeWalk) grow(net *Network, flowSeen []int64, ep int64, start int) {
 			flowSeen[fid] = ep
 			w.ids = append(w.ids, fid)
 			for _, fl := range net.flows[fid].Path {
-				if w.linkSeen[fl] != ep {
-					w.linkSeen[fl] = ep
+				if linkSeen[fl] != ep {
+					linkSeen[fl] = ep
 					w.stack = append(w.stack, fl)
 				}
 			}

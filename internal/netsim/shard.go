@@ -90,9 +90,7 @@ type shardedState struct {
 	// Per-round phase parameters. Phase bodies are method expressions
 	// taking the engine as an argument, not closures: a func literal with
 	// captures allocates at every evaluation (the per-step closures cost
-	// ~11k allocs/op on the Fig10 bench), and a method value stored here
-	// would make the engine reachable from itself, which keeps an engine
-	// with a worker-pool finalizer from ever being collected.
+	// ~11k allocs/op on the Fig10 bench).
 	dueT    float64 // collectDue's tNext for the round in flight
 	windowH float64 // runLookahead's safe horizon for the round in flight
 }
@@ -151,19 +149,29 @@ func (e *Engine) SetShards(n int) {
 		// Backstop for engines dropped mid-run without SetShards(1): the
 		// workers reference only the pool (never the engine between
 		// phases), so an abandoned engine becomes unreachable and the
-		// finalizer releases them. Registered once per engine — the
-		// closure reads e.sh at finalization time, so it covers every
-		// later pool too.
-		if !e.poolFinalizer {
-			e.poolFinalizer = true
-			runtime.SetFinalizer(e, func(e *Engine) {
-				if e.sh.workers != nil {
-					e.sh.workers.close()
+		// finalizer releases them. The finalizer sits on a small handle
+		// only the engine references, not on the engine: Go keeps an
+		// object with a finalizer, and all it reaches, alive through one
+		// more collection, which on the engine would hold a dropped
+		// engine's network and fill state for a GC cycle. Registered once
+		// per engine.
+		if e.pool == nil {
+			e.pool = new(poolRef)
+			runtime.SetFinalizer(e.pool, func(p *poolRef) {
+				if p.w != nil {
+					p.w.close()
 				}
 			})
 		}
 	}
+	if e.pool != nil {
+		e.pool.w = sh.workers // the old pool, if any, was stopped above
+	}
 }
+
+// poolRef is the finalizer-bearing handle on an engine's current worker
+// pool (nil when none runs).
+type poolRef struct{ w *shardWorkers }
 
 // stopShards releases a previous sharded state's worker pool.
 func (e *Engine) stopShards(old *shardedState) {
@@ -650,7 +658,7 @@ func (sh *shardedState) ensureClones(alloc Allocator) bool {
 // AllocateScoped call, sorts it once.
 func (e *Engine) splitDirty() {
 	e.growFlowSeen()
-	e.walk.expand(e.net, e.flowSeen, e.epoch.Add(1), e.seedLinks, e.seedFlows)
+	e.walk.expand(e.net, e.flowSeen, e.linkSeen, e.epoch.Add(1), e.seedLinks, e.seedFlows)
 }
 
 // growFlowSeen sizes the shared flow marks to the flow table. Walks
