@@ -46,7 +46,7 @@ func main() {
 	if *profileDir != "" {
 		// Sample mutex contention (1 in 5 events) and every blocking event
 		// ≥ 1µs: cheap enough to leave on for a whole study, detailed
-		// enough to show a worker-pool latch or barrier gone hot.
+		// enough to show the worker pool's phase join gone hot.
 		runtime.SetMutexProfileFraction(5)
 		runtime.SetBlockProfileRate(1000)
 	}

@@ -78,8 +78,6 @@ type RunConfig struct {
 	Table *profiler.Table
 	// PLs is the priority-level count for the Saba policies; 0 → 16.
 	PLs int
-	// CSaba is the capacity fraction managed by Saba; 0 → 1.
-	CSaba float64
 	// Shards is the distributed-controller shard count; 0 → 4.
 	Shards int
 	// EngineShards selects the simulation engine's event-loop sharding,
@@ -88,15 +86,10 @@ type RunConfig struct {
 	// results. Distinct from Shards, which shards the distributed
 	// controller mesh, not the simulator.
 	EngineShards int
-	// FECNEfficiency tunes the baseline's congested-link utilization;
-	// 0 → netsim.DefaultFECNEfficiency.
-	FECNEfficiency float64
 	// SimBaseline selects the packet-simulator congestion model for the
 	// baseline (mild losses) instead of the hardware-testbed profile —
 	// the large-scale studies (Fig. 10/11) compare against the former.
 	SimBaseline bool
-	// FanOut bounds per-node shuffle partners; 0 → workload.DefaultFanOut.
-	FanOut int
 	// ComputeStretch multiplies every job's compute time relative to its
 	// profiled (dedicated-node) speed — the paper's testbed studies pin
 	// each job to one of the 16 cores per server, so they pass 16.
@@ -106,11 +99,6 @@ type RunConfig struct {
 	Horizon float64
 	// Seed drives the controller's clustering determinism.
 	Seed int64
-	// FullRecompute disables the engine's scoped (dirty-component) rate
-	// recomputation, forcing a global allocator pass after every change —
-	// the escape hatch for validating the incremental path against the
-	// reference behavior.
-	FullRecompute bool
 	// BeforeRun, when set, is invoked on the fully assembled engine just
 	// before the simulation starts — the hook churn experiments use to
 	// install fault schedules (faults.InstallLinkFlaps).
@@ -157,7 +145,7 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 	var decChannel *decentral.Channel
 	switch cfg.Policy {
 	case PolicyBaseline:
-		fecn := netsim.NewFECN(net, cfg.FECNEfficiency)
+		fecn := netsim.NewFECN(net, 0)
 		if cfg.SimBaseline {
 			fecn.SimProfile()
 		}
@@ -178,7 +166,6 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 			Table:    cfg.Table,
 			Enforcer: wfq,
 			PLs:      cfg.PLs,
-			CSaba:    cfg.CSaba,
 			Seed:     cfg.Seed,
 			Drift:    cfg.Drift,
 		})
@@ -203,7 +190,7 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 		if shards == 0 {
 			shards = 4
 		}
-		mesh, err := controller.NewMesh(top, db, wfq, shards, cfg.CSaba, 0)
+		mesh, err := controller.NewMesh(top, db, wfq, shards, 0, 0)
 		if err != nil {
 			return Result{}, err
 		}
@@ -212,9 +199,7 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 		if cfg.Table == nil {
 			return Result{}, errors.New("core: Saba policy requires a sensitivity table")
 		}
-		dec = netsim.NewDecentral(net, netsim.DecentralConfig{
-			Params: decentral.Params{Total: cfg.CSaba},
-		})
+		dec = netsim.NewDecentral(net, netsim.DecentralConfig{})
 		decChannel = decentral.NewChannel()
 		dec.SetChannel(decChannel)
 		alloc = dec
@@ -223,7 +208,6 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 	}
 
 	e := netsim.NewEngine(net, alloc)
-	e.SetFullRecompute(cfg.FullRecompute)
 	e.SetShards(cfg.EngineShards)
 	res := Result{Policy: cfg.Policy, Completions: make([]float64, len(jobs))}
 
@@ -247,7 +231,6 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 			Nodes:          js.Nodes,
 			App:            netsim.AppID(i + 1),
 			DatasetScale:   js.DatasetScale,
-			FanOut:         cfg.FanOut,
 			ComputeStretch: cfg.ComputeStretch,
 		}
 		jobRefs[i] = j
@@ -262,7 +245,7 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 			}
 			app, _ := lib.App()
 			j.App = app
-			for _, pair := range shufflePairs(js.Nodes, cfg.FanOut) {
+			for _, pair := range shufflePairs(js.Nodes, workload.DefaultFanOut) {
 				conn, err := lib.ConnCreate(pair[0], pair[1])
 				if err != nil {
 					return Result{}, err
@@ -281,7 +264,6 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 				Decentral: &sabalib.DecentralOptions{
 					Source:    decChannel,
 					Objective: obj,
-					Params:    decentral.Params{Total: cfg.CSaba},
 					Now:       func() float64 { return e.Now() },
 				},
 			})
@@ -291,7 +273,7 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 			if err := lib.EnterDecentral(); err != nil {
 				return Result{}, err
 			}
-			for _, pair := range shufflePairs(js.Nodes, cfg.FanOut) {
+			for _, pair := range shufflePairs(js.Nodes, workload.DefaultFanOut) {
 				conn, err := lib.ConnCreate(pair[0], pair[1])
 				if err != nil {
 					return Result{}, err
@@ -425,9 +407,6 @@ func decentralObjective(tab *profiler.Table, name string) solver.Objective {
 // workload.Job's flow launch pattern).
 func shufflePairs(nodes []topology.NodeID, fanOut int) [][2]topology.NodeID {
 	n := len(nodes)
-	if fanOut <= 0 {
-		fanOut = workload.DefaultFanOut
-	}
 	if fanOut > n-1 {
 		fanOut = n - 1
 	}

@@ -20,8 +20,10 @@ import (
 // an isolated pod's flow is itself pod-local and homed on the same
 // shard, so the shard's completions, the recomputes they trigger, and
 // the re-projections those produce are all confined to the shard until
-// either (a) a non-isolated shard's event or (b) a scheduled timer runs. The earliest such external event is the safe
-// horizon H = min(HorizonExcept(isolated), next timer, run horizon):
+// either (a) a non-isolated shard's event or (b) a scheduled timer runs.
+// The earliest such external event is the safe horizon H = the minimum
+// of every non-isolated shard's next completion, the next timer and the
+// run horizon, which step takes from the heap heads it already reads:
 // below H (strictly, by timeSlack) an isolated shard may emulate barrier
 // rounds locally — pop the due batch, detach the retired flows, recompute
 // the seeded components at the batch time, re-project — without any other
@@ -94,7 +96,7 @@ func (e *Engine) runLookahead(h float64) error {
 		}
 	}
 	sh.windowH = h
-	e.runPhase(sh.busy, (*Engine).runWindow)
+	sh.workers.run(e, sh.busy, (*Engine).runWindow)
 
 	recomputes, dirtyFlows := 0, 0
 	sh.mergedR = sh.mergedR[:0]

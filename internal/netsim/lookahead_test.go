@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,6 +121,68 @@ func TestLookaheadPodLocalMatchesSerial(t *testing.T) {
 					seed, shards, events, rounds)
 			}
 		}
+	}
+}
+
+// The lookahead horizon must stop at the next completion of a shard that
+// is not isolated. A cross-pod flow couples pods 0 and 1 and falls due in
+// the middle of pod 2's completions, so pod 2's window has to halt short
+// of it: completion times and callback order then match the
+// full-recompute reference. A horizon that skips the coupled shards lets
+// the window retire pod 2's flows past the cross-pod completion, and the
+// clock refuses to step back to it.
+func TestLookaheadHorizonStopsAtCoupledShard(t *testing.T) {
+	run := func(full bool) (times []float64, order []int, rounds uint64) {
+		top, err := topology.NewSpineLeaf(topology.SpineLeafConfig{
+			Pods: 3, ToRsPerPod: 2, LeavesPerPod: 2, Spines: 2,
+			HostsPerToR: 4, Queues: 8, LinkCapacity: 1000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := top.Partition()
+		net := NewNetwork(top)
+		e := NewEngine(net, NewIdealMaxMin(net))
+		reg := telemetry.NewRegistry()
+		e.SetTelemetry(reg)
+		e.SetFullRecompute(full)
+		e.SetShards(-1)
+		e.SetPureCallbacks(true)
+
+		// Alone on its path the cross-pod flow finishes at 16.5 s. The
+		// six pod-2 flows share one host uplink and finish at 6, 11, 15,
+		// 18, 20 and 21 s.
+		p2 := part.HostsIn(2)
+		specs := []FlowSpec{{Src: part.HostsIn(0)[0], Dst: part.HostsIn(1)[0], Bits: 16.5e3}}
+		for i := 1; i <= 6; i++ {
+			specs = append(specs, FlowSpec{Src: p2[0], Dst: p2[i], Bits: float64(i) * 1e3})
+		}
+		idx := map[FlowID]int{}
+		times = make([]float64, len(specs))
+		record := func(e *Engine, id FlowID) {
+			times[idx[id]] = e.Now()
+			order = append(order, idx[id])
+		}
+		ids, err := e.AddFlows(specs, record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, id := range ids {
+			idx[id] = k
+		}
+		if err := e.Run(math.Inf(1)); err != nil {
+			t.Fatalf("full=%v: Run: %v", full, err)
+		}
+		return times, order, reg.Counter("netsim.lookahead_rounds").Value()
+	}
+	wantTimes, wantOrder, _ := run(true)
+	gotTimes, gotOrder, rounds := run(false)
+	assertSameVector(t, "completion times", wantTimes, gotTimes)
+	if !slices.Equal(wantOrder, gotOrder) {
+		t.Errorf("callback order %v, want %v", gotOrder, wantOrder)
+	}
+	if rounds == 0 {
+		t.Error("pod 2 never entered a lookahead window")
 	}
 }
 

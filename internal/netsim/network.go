@@ -108,12 +108,11 @@ type Network struct {
 	now        float64 // virtual time, advanced by the Engine
 
 	// Pod-coupling bookkeeping for the sharded engine's lookahead
-	// windows. part caches the topology's static partition view (it is
-	// failure-epoch-invariant but rebuilt on every Topology().Partition()
-	// call); coupled[p] counts the attached flows whose path both crosses
-	// a partition cut and touches partition p. A partition with zero
-	// coupled flows shares no link with any flow of another partition,
-	// which is exactly the isolation the lookahead horizon needs.
+	// windows. part is the topology's static partition view; coupled[p]
+	// counts the attached flows whose path both crosses a partition cut
+	// and touches partition p. A partition with zero coupled flows shares
+	// no link with any flow of another partition, which is exactly the
+	// isolation the lookahead horizon needs.
 	// partition() seeds the counters from the flows already attached at
 	// first use (SetShards can arrive mid-run); attach/detach maintain
 	// them incrementally from then on.
@@ -139,9 +138,8 @@ func NewNetwork(top *topology.Topology) *Network {
 // Topology returns the underlying static topology.
 func (n *Network) Topology() *topology.Topology { return n.top }
 
-// partition returns the cached partition view, building it — and
-// seeding the pod-coupling counters from every currently attached flow —
-// on first use.
+// partition returns the topology's partition view, seeding the
+// pod-coupling counters from every currently attached flow on first use.
 func (n *Network) partition() *topology.Partition {
 	if n.part == nil {
 		n.part = n.top.Partition()

@@ -15,17 +15,17 @@ import (
 // This file implements the sharded event loop: the engine split by
 // fabric partition into per-pod shards, each owning a completion heap
 // and (when the discipline supports it) an allocator clone, coordinated
-// by a conservative virtual-time barrier. Every round, shards propose
-// their earliest projected completion, the coordinator advances the
-// clock to the minimum across shards and timers, and the shards'
-// intra-pod work — component allocation, due-completion collection,
-// and bounded lookahead windows (lookahead.go) — runs concurrently on a
-// persistent worker pool (workers.go). It is the engine's only event
-// loop: an engine starts with one shard. Both settings, one shard and
-// one per pod, are bit-for-bit identical to the full-recompute
-// reference; DESIGN.md §13 carries the determinism argument, and the
-// differential gate asserts it for all six allocators including under
-// link-flap schedules.
+// by a conservative virtual-time barrier. Every round, the coordinator
+// reads each shard's earliest projected completion off its heap head,
+// advances the clock to the minimum across shards and timers, and the
+// shards' intra-pod work — component allocation, due-completion
+// collection, and bounded lookahead windows (lookahead.go) — runs
+// concurrently on a persistent worker pool (workers.go). It is the
+// engine's only event loop: an engine starts with one shard. Both
+// settings, one shard and one per pod, are bit-for-bit identical to the
+// full-recompute reference; DESIGN.md §13 carries the determinism
+// argument, and the differential gate asserts it for all six allocators
+// including under link-flap schedules.
 
 // dueCand is one completion candidate popped during due collection: the
 // flow and the heap key it carried when popped.
@@ -76,7 +76,6 @@ type engineShard struct {
 // shardedState is the coordinator side of the sharded engine.
 type shardedState struct {
 	part    *topology.Partition
-	barrier *sim.Barrier
 	shards  []*engineShard
 	workers *shardWorkers // nil when one schedulable slot: phases run inline
 
@@ -119,7 +118,6 @@ func (e *Engine) SetShards(n int) {
 	}
 	sh := &shardedState{
 		part:     part,
-		barrier:  sim.NewBarrier(n),
 		shards:   make([]*engineShard, n),
 		isolated: make([]bool, n),
 	}
@@ -130,7 +128,9 @@ func (e *Engine) SetShards(n int) {
 	sh.busy = make([]int, 0, n)
 	e.sh = sh // homeOf consults e.sh
 	if old != nil {
-		e.stopShards(old)
+		if old.workers != nil {
+			old.workers.close()
+		}
 		for _, s := range old.shards {
 			e.redistribute(&s.completions)
 		}
@@ -172,14 +172,6 @@ func (e *Engine) SetShards(n int) {
 // poolRef is the finalizer-bearing handle on an engine's current worker
 // pool (nil when none runs).
 type poolRef struct{ w *shardWorkers }
-
-// stopShards releases a previous sharded state's worker pool.
-func (e *Engine) stopShards(old *shardedState) {
-	if old.workers != nil {
-		old.workers.close()
-		old.workers = nil
-	}
-}
 
 // retireShardGauges drains the per-shard gauges of a replaced shard set
 // to zero, so the per-pod shards retired by SetShards(1) do not leak
@@ -287,19 +279,11 @@ func (e *Engine) heapLen() int {
 	return n
 }
 
-// runPhase invokes fn for every listed shard — concurrently when more
-// than one has work, fanned across the persistent worker pool (inline
-// when the pool is absent: one shard or one schedulable core, or a
-// single busy shard).
-func (e *Engine) runPhase(busy []int, fn func(e *Engine, i int)) {
-	e.sh.workers.run(e, busy, fn)
-}
-
-// step performs one barrier round: reallocate if needed, then shards
-// propose their earliest projected completion, the clock advances to
-// the conservative minimum across shards and timers, and due
-// completions are collected per shard, applied in exact (time, id)
-// order, and their callbacks fired. When the earliest event belongs to
+// step performs one barrier round: reallocate if needed, read every
+// shard's earliest projected completion off its heap head, advance the
+// clock to the conservative minimum across shards and timers, and
+// collect due completions per shard, apply them in exact (time, id)
+// order and fire their callbacks. When the earliest event belongs to
 // a shard whose pods no cross-pod flow touches, the round instead runs
 // bounded lookahead windows (lookahead.go): every such isolated shard
 // advances all its completions below the cross-shard horizon in one
@@ -317,15 +301,11 @@ func (e *Engine) step(horizon float64) error {
 		e.observeUtilization()
 	}
 
-	sh.barrier.Reset()
 	tFlow := math.Inf(1)
 	minShard := -1
 	for i, s := range sh.shards {
-		if at, _, ok := s.completions.Min(); ok {
-			sh.barrier.Propose(i, at)
-			if at < tFlow {
-				tFlow, minShard = at, i
-			}
+		if at, _, ok := s.completions.Min(); ok && at < tFlow {
+			tFlow, minShard = at, i
 		}
 	}
 	tEvent := math.Inf(1)
@@ -348,9 +328,15 @@ func (e *Engine) step(horizon float64) error {
 	if tFlow < tEvent && minShard >= 0 && e.lookaheadReady() {
 		e.computeIsolation()
 		if sh.isolated[minShard] {
-			h := sh.barrier.HorizonExcept(sh.isolated)
-			h = math.Min(h, tEvent)
-			h = math.Min(h, horizon)
+			// The safe horizon: the earliest event outside the isolated
+			// shards — a non-isolated shard's next completion, the next
+			// timer, or the run horizon.
+			h := math.Min(tEvent, horizon)
+			for i, s := range sh.shards {
+				if at, _, ok := s.completions.Min(); ok && !sh.isolated[i] && at < h {
+					h = at
+				}
+			}
 			if tFlow < h-timeSlack {
 				return e.runLookahead(h)
 			}
@@ -462,7 +448,7 @@ func (e *Engine) collectDue(tNext float64) []dueCand {
 		}
 	}
 	sh.dueT = tNext
-	e.runPhase(sh.busy, (*Engine).collectShardDue)
+	sh.workers.run(e, sh.busy, (*Engine).collectShardDue)
 	if len(sh.busy) == 0 {
 		return nil
 	}
@@ -568,7 +554,7 @@ func (e *Engine) recompute() {
 			}
 			s.comps = append(s.comps, c)
 		}
-		e.runPhase(sh.busy, (*Engine).allocShardComps)
+		sh.workers.run(e, sh.busy, (*Engine).allocShardComps)
 		e.tel.scopedRecomputes.Inc()
 		e.tel.dirtyFlows.Add(uint64(len(w.ids)))
 	}

@@ -2,36 +2,34 @@ package netsim
 
 import (
 	"runtime"
-
-	"saba/internal/sim"
+	"sync"
 )
 
 // shardWorkers is the persistent worker runtime behind the sharded
-// engine's concurrent phases. SetShards used to satisfy each phase by
-// spawning one goroutine per busy shard and joining them on a WaitGroup
-// — O(busy) spawns and stack setups per virtual-time step. Instead the
-// pool parks one long-lived worker goroutine per schedulable slot
-// (min(shards, GOMAXPROCS at SetShards time)), feeds it through a
-// per-worker mailbox channel, and joins the phase on a reusable latch,
-// so a step costs two synchronization points: the fan-out sends and one
-// latch wait.
+// engine's concurrent phases. The pool parks one long-lived worker
+// goroutine per schedulable slot (min(shards, GOMAXPROCS at SetShards
+// time)), feeds it through a per-worker mailbox channel, and joins the
+// phase on a reused sync.WaitGroup, so a phase costs two synchronization
+// points — the fan-out sends and one Wait — rather than a goroutine
+// spawn per busy shard.
 //
 // Workers hold no reference to the Engine between phases — the engine
 // and phase body are published before the wakes and cleared after the
 // join — so an abandoned engine becomes unreachable as soon as the
-// caller drops it; a finalizer then closes stop and the goroutines exit. SetShards
-// also stops the pool explicitly when resharding, so
+// caller drops it; a finalizer then closes stop and the goroutines exit.
+// SetShards also stops the pool explicitly when resharding, so
 // finalization is only the backstop for engines dropped mid-run.
 type shardWorkers struct {
-	wake  []chan struct{} // one mailbox per worker
-	stop  chan struct{}
-	latch *sim.Latch
+	wake []chan struct{} // one mailbox per worker
+	stop chan struct{}
+	done sync.WaitGroup // the phase join: Add before the wakes, Done per share
 
 	// Phase state, published by the coordinator before the wakes (the
 	// channel send is the happens-before edge) and cleared after the
-	// latch join. lists[w] holds the shard indices worker w runs this
-	// phase; panics[w] holds what worker w's share panicked with, if
-	// anything, for run to re-raise on the coordinator.
+	// join (each Done happens-before Wait's return). lists[w] holds the
+	// shard indices worker w runs this phase; panics[w] holds what worker
+	// w's share panicked with, if anything, for run to re-raise on the
+	// coordinator.
 	e      *Engine
 	fn     func(e *Engine, i int)
 	lists  [][]int
@@ -44,7 +42,6 @@ func newShardWorkers(n int) *shardWorkers {
 	sw := &shardWorkers{
 		wake:   make([]chan struct{}, n),
 		stop:   make(chan struct{}),
-		latch:  sim.NewLatch(),
 		lists:  make([][]int, n),
 		panics: make([]any, n),
 	}
@@ -62,7 +59,7 @@ func (sw *shardWorkers) worker(w int) {
 			return
 		case <-sw.wake[w]:
 			sw.runShare(w)
-			sw.latch.Arrive()
+			sw.done.Done()
 		}
 	}
 }
@@ -109,12 +106,12 @@ func (sw *shardWorkers) run(e *Engine, busy []int, fn func(e *Engine, i int)) {
 		sw.lists[w] = append(sw.lists[w], i)
 	}
 	sw.e, sw.fn = e, fn
-	sw.latch.Start(n - 1)
+	sw.done.Add(n - 1)
 	for w := 1; w < n; w++ {
 		sw.wake[w] <- struct{}{}
 	}
 	sw.runShare(0)
-	sw.latch.Wait()
+	sw.done.Wait()
 	sw.e, sw.fn = nil, nil
 	for _, p := range sw.panics[:n] {
 		if p != nil {

@@ -1,8 +1,10 @@
 // Package sim provides the discrete-event scaffolding under the fluid
-// network simulator: a monotonic virtual clock and a priority heap of
-// timed callbacks. The network engine interleaves flow-completion times
-// (computed analytically from fluid rates) with these scheduled events
-// (compute-phase completions, controller reconfigurations, job arrivals).
+// network simulator: a monotonic virtual clock, a priority heap of timed
+// callbacks, and the indexed heap each engine shard keys its projected
+// flow completions on. The network engine interleaves flow-completion
+// times (computed analytically from fluid rates) with these scheduled
+// events (compute-phase completions, controller reconfigurations, job
+// arrivals).
 package sim
 
 import (
@@ -16,7 +18,6 @@ type Event struct {
 	At  float64 // virtual seconds
 	Fn  func()
 	seq int64 // tie-breaker preserving scheduling order
-	idx int   // heap index; -1 when popped/cancelled
 }
 
 // Queue is a time-ordered event queue. The zero value is ready to use.
@@ -28,25 +29,12 @@ type Queue struct {
 // ErrPastEvent is returned when scheduling before the current time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
-// Schedule enqueues fn to run at virtual time at. It returns a handle
-// usable with Cancel. Scheduling before now is the caller's bug; the
-// queue cannot know "now", so Engine wraps this with its clock check.
-func (q *Queue) Schedule(at float64, fn func()) *Event {
-	e := &Event{At: at, Fn: fn, seq: q.seq}
+// Schedule enqueues fn to run at virtual time at. Scheduling before now
+// is the caller's bug; the queue cannot know "now", so Engine wraps this
+// with its clock check.
+func (q *Queue) Schedule(at float64, fn func()) {
+	heap.Push(&q.h, &Event{At: at, Fn: fn, seq: q.seq})
 	q.seq++
-	heap.Push(&q.h, e)
-	return e
-}
-
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op returning false.
-func (q *Queue) Cancel(e *Event) bool {
-	if e == nil || e.idx < 0 {
-		return false
-	}
-	heap.Remove(&q.h, e.idx)
-	e.idx = -1
-	return true
 }
 
 // Len returns the number of pending events.
@@ -66,9 +54,7 @@ func (q *Queue) Pop() (*Event, bool) {
 	if len(q.h) == 0 {
 		return nil, false
 	}
-	e := heap.Pop(&q.h).(*Event)
-	e.idx = -1
-	return e, true
+	return heap.Pop(&q.h).(*Event), true
 }
 
 // eventHeap implements heap.Interface ordered by (At, seq).
@@ -83,17 +69,9 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*Event)) }
 
 func (h *eventHeap) Pop() any {
 	old := *h
@@ -111,15 +89,6 @@ type Clock struct {
 
 // Now returns the current virtual time in seconds.
 func (c *Clock) Now() float64 { return c.now }
-
-// Advance moves the clock forward by dt seconds.
-func (c *Clock) Advance(dt float64) error {
-	if dt < 0 {
-		return fmt.Errorf("sim: negative time advance %g", dt)
-	}
-	c.now += dt
-	return nil
-}
 
 // AdvanceTo moves the clock to the absolute time t (>= now).
 func (c *Clock) AdvanceTo(t float64) error {

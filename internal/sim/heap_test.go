@@ -68,54 +68,6 @@ func TestQueuePeekAndLen(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var q Queue
-	fired := false
-	e := q.Schedule(1, func() { fired = true })
-	if !q.Cancel(e) {
-		t.Error("Cancel of pending event should return true")
-	}
-	if q.Cancel(e) {
-		t.Error("double Cancel should return false")
-	}
-	if q.Cancel(nil) {
-		t.Error("Cancel(nil) should return false")
-	}
-	if _, ok := q.Pop(); ok {
-		t.Error("queue should be empty after cancel")
-	}
-	if fired {
-		t.Error("cancelled event must not fire")
-	}
-}
-
-func TestCancelMiddleKeepsHeapValid(t *testing.T) {
-	var q Queue
-	events := make([]*Event, 20)
-	for i := range events {
-		events[i] = q.Schedule(float64(i%7), func() {})
-	}
-	q.Cancel(events[3])
-	q.Cancel(events[10])
-	q.Cancel(events[19])
-	prev := -1.0
-	n := 0
-	for {
-		e, ok := q.Pop()
-		if !ok {
-			break
-		}
-		if e.At < prev {
-			t.Fatalf("heap order violated after cancels: %g < %g", e.At, prev)
-		}
-		prev = e.At
-		n++
-	}
-	if n != 17 {
-		t.Errorf("popped %d events, want 17", n)
-	}
-}
-
 func TestQueuePopOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -147,17 +99,11 @@ func TestClock(t *testing.T) {
 	if c.Now() != 0 {
 		t.Errorf("zero clock Now = %g, want 0", c.Now())
 	}
-	if err := c.Advance(2.5); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.AdvanceTo(4); err != nil {
 		t.Fatal(err)
 	}
 	if c.Now() != 4 {
 		t.Errorf("Now = %g, want 4", c.Now())
-	}
-	if err := c.Advance(-1); err == nil {
-		t.Error("negative Advance should fail")
 	}
 	if err := c.AdvanceTo(3); err == nil {
 		t.Error("AdvanceTo the past should fail")

@@ -33,14 +33,6 @@ func (h *IndexedHeap) Contains(id int) bool {
 	return id >= 0 && id < len(h.pos) && h.pos[id] != 0
 }
 
-// Key returns the current key of id, if present.
-func (h *IndexedHeap) Key(id int) (float64, bool) {
-	if !h.Contains(id) {
-		return 0, false
-	}
-	return h.key[h.pos[id]-1], true
-}
-
 // Grow pre-sizes the heap for ids up to maxID and n simultaneous
 // entries. A caller that knows its population — the sharded engine
 // re-projecting a shard's active flows — pays one allocation per
@@ -114,15 +106,6 @@ func (h *IndexedHeap) Pop() (key float64, id int, ok bool) {
 	key, id = h.key[0], h.ids[0]
 	h.removeAt(0)
 	return key, id, true
-}
-
-// Reset drops all entries, retaining capacity.
-func (h *IndexedHeap) Reset() {
-	for _, id := range h.ids {
-		h.pos[id] = 0
-	}
-	h.ids = h.ids[:0]
-	h.key = h.key[:0]
 }
 
 func (h *IndexedHeap) removeAt(i int) {

@@ -69,28 +69,11 @@ func TestIndexedHeapRemove(t *testing.T) {
 	if h.Contains(9) || !h.Contains(5) {
 		t.Fatal("Contains wrong after removals")
 	}
-	if k, ok := h.Key(5); !ok || k != 5 {
-		t.Fatalf("Key(5) = (%g,%v), want (5,true)", k, ok)
-	}
 	if _, id, _ := h.Min(); id != 8 {
 		t.Fatalf("min after removals = %d, want 8", id)
 	}
 	if h.Len() != 8 {
 		t.Fatalf("Len = %d, want 8", h.Len())
-	}
-}
-
-func TestIndexedHeapReset(t *testing.T) {
-	var h IndexedHeap
-	h.Fix(1, 1)
-	h.Fix(2, 2)
-	h.Reset()
-	if h.Len() != 0 || h.Contains(1) || h.Contains(2) {
-		t.Fatal("Reset left entries behind")
-	}
-	h.Fix(1, 3)
-	if k, id, ok := h.Min(); !ok || id != 1 || k != 3 {
-		t.Fatalf("reuse after Reset broken: (%g,%d,%v)", k, id, ok)
 	}
 }
 

@@ -22,10 +22,16 @@ type Partition struct {
 	hosts  [][]NodeID
 }
 
-// Partition computes the partition view. Topologies without pod
+// Partition returns the partition view, built on the first call and
+// shared by every later one (it is immutable). Topologies without pod
 // annotations (or with a single pod) collapse to one partition with no
 // cut links, which keeps the sharded engine correct on any fabric.
 func (t *Topology) Partition() *Partition {
+	t.partOnce.Do(func() { t.part = t.buildPartition() })
+	return t.part
+}
+
+func (t *Topology) buildPartition() *Partition {
 	p := &Partition{
 		ofNode: make([]int32, len(t.nodes)),
 		ofLink: make([]int32, len(t.links)),

@@ -86,7 +86,8 @@ func TestPartitionRoutesCrossOnlyCutLinks(t *testing.T) {
 
 // The partition view is derived from the immutable graph shape: link
 // failures and restores (which bump the liveness epoch) must not change
-// any node or link assignment.
+// any node or link assignment. That is what lets Partition build the view
+// once and share it, so the views compared here are built afresh.
 func TestPartitionStableAcrossFailureEpochs(t *testing.T) {
 	top := partitionFabric(t)
 	before := top.Partition()
@@ -108,13 +109,16 @@ func TestPartitionStableAcrossFailureEpochs(t *testing.T) {
 	if top.Epoch() == ep0 {
 		t.Fatal("failures did not bump the epoch; scenario degenerate")
 	}
-	mid := top.Partition()
+	mid := top.buildPartition()
 	for i := 0; i < len(top.Links()); i += 7 {
 		if _, err := top.RestoreLink(LinkID(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := top.Partition()
+	after := top.buildPartition()
+	if top.Partition() != before {
+		t.Fatal("Partition rebuilt its view; want the first one shared")
+	}
 
 	for _, view := range []*Partition{mid, after} {
 		if view.NumParts() != before.NumParts() {

@@ -86,6 +86,9 @@ type Topology struct {
 	// topology has no partitioning and Partition() collapses to one part.
 	partOf []int32
 
+	partOnce sync.Once
+	part     *Partition // built once by Partition()
+
 	// Failure state. down is nil until the first failure, so a topology
 	// that never fails pays nothing. epoch increments on every liveness
 	// change; readers use it to invalidate derived state.
