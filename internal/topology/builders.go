@@ -40,26 +40,19 @@ func NewSingleSwitch(cfg SingleSwitchConfig) (*Topology, error) {
 	sw := b.addNode(Switch, "sw0", cfg.Queues)
 	b.setPart(sw, 0) // one switch, one partition
 	hosts := make([]NodeID, cfg.Hosts)
+	down := make([]LinkID, cfg.Hosts) // switch → hosts[i]
 	for i := range hosts {
 		hosts[i] = b.addNode(Host, fmt.Sprintf("h%d", i), cfg.Queues)
 		b.setPart(hosts[i], 0)
-		b.addPair(hosts[i], sw, cfg.LinkCapacity)
+		_, down[i] = b.addPair(hosts[i], sw, cfg.LinkCapacity)
 	}
 
-	// Forwarding: hosts send everything up their single uplink (a default
-	// route — no per-destination entries); the switch sends to the
-	// destination's access link.
+	// Forwarding: the switch sends to the destination's access link.
+	b.initForwarding()
 	t := &b.t
-	t.lft[sw] = make(map[NodeID]LinkID, cfg.Hosts)
-	for _, h := range hosts {
-		t.defRoute[h] = t.out[h][0]
-		// Switch's port toward h is the link whose To == h.
-		for _, l := range t.out[sw] {
-			if t.links[l].To == h {
-				t.lft[sw][h] = l
-				break
-			}
-		}
+	row := t.lft[sw]
+	for i, h := range hosts {
+		row[t.hostOrd[h]] = int32(down[i])
 	}
 	return t, nil
 }
@@ -117,7 +110,8 @@ func NewSpineLeaf(cfg SpineLeafConfig) (*Topology, error) {
 
 	var b builder
 
-	// Spine planes: spine s belongs to plane s % LeavesPerPod.
+	// Spine planes: spine s belongs to plane s % LeavesPerPod, at index
+	// s / LeavesPerPod within it.
 	spines := make([]NodeID, cfg.Spines)
 	for s := range spines {
 		spines[s] = b.addNode(Switch, fmt.Sprintf("spine%d", s), cfg.Queues)
@@ -128,99 +122,107 @@ func NewSpineLeaf(cfg SpineLeafConfig) (*Topology, error) {
 		planes[p] = append(planes[p], id)
 	}
 
-	leaves := make([][]NodeID, cfg.Pods)  // [pod][leafIdx]
-	tors := make([][]NodeID, cfg.Pods)    // [pod][torIdx]
-	hosts := make([][][]NodeID, cfg.Pods) // [pod][torIdx][hostIdx]
+	// Wiring keeps the link IDs addPair returns, so the forwarding fill
+	// below is slice indexing only.
+	leaves := make([][]NodeID, cfg.Pods)      // [pod][leafIdx]
+	tors := make([][]NodeID, cfg.Pods)        // [pod][torIdx]
+	hosts := make([][][]NodeID, cfg.Pods)     // [pod][torIdx][hostIdx]
+	leafUp := make([][][]LinkID, cfg.Pods)    // [pod][leafIdx][index in plane] leaf → spine
+	spineDown := make([][]LinkID, cfg.Spines) // [spine][pod] spine → leaf of its plane
+	torUp := make([][][]LinkID, cfg.Pods)     // [pod][torIdx][leafIdx] ToR → leaf
+	leafDown := make([][][]LinkID, cfg.Pods)  // [pod][leafIdx][torIdx] leaf → ToR
+	torDown := make([][][]LinkID, cfg.Pods)   // [pod][torIdx][hostIdx] ToR → host
+	for s := range spineDown {
+		spineDown[s] = make([]LinkID, cfg.Pods)
+	}
 
 	for p := 0; p < cfg.Pods; p++ {
 		leaves[p] = make([]NodeID, cfg.LeavesPerPod)
+		leafUp[p] = make([][]LinkID, cfg.LeavesPerPod)
+		leafDown[p] = make([][]LinkID, cfg.LeavesPerPod)
 		for l := range leaves[p] {
 			leaves[p][l] = b.addNode(Switch, fmt.Sprintf("leaf%d-%d", p, l), cfg.Queues)
 			b.setPart(leaves[p][l], int32(p))
-			for _, sp := range planes[l] {
-				b.addPair(leaves[p][l], sp, cfg.LinkCapacity)
+			leafUp[p][l] = make([]LinkID, len(planes[l]))
+			leafDown[p][l] = make([]LinkID, cfg.ToRsPerPod)
+			for k, sp := range planes[l] {
+				leafUp[p][l][k], spineDown[k*cfg.LeavesPerPod+l][p] = b.addPair(leaves[p][l], sp, cfg.LinkCapacity)
 			}
 		}
 		tors[p] = make([]NodeID, cfg.ToRsPerPod)
 		hosts[p] = make([][]NodeID, cfg.ToRsPerPod)
+		torUp[p] = make([][]LinkID, cfg.ToRsPerPod)
+		torDown[p] = make([][]LinkID, cfg.ToRsPerPod)
 		for r := range tors[p] {
 			tors[p][r] = b.addNode(Switch, fmt.Sprintf("tor%d-%d", p, r), cfg.Queues)
 			b.setPart(tors[p][r], int32(p))
+			torUp[p][r] = make([]LinkID, cfg.LeavesPerPod)
 			for l := range leaves[p] {
-				b.addPair(tors[p][r], leaves[p][l], cfg.LinkCapacity)
+				torUp[p][r][l], leafDown[p][l][r] = b.addPair(tors[p][r], leaves[p][l], cfg.LinkCapacity)
 			}
 			hosts[p][r] = make([]NodeID, cfg.HostsPerToR)
+			torDown[p][r] = make([]LinkID, cfg.HostsPerToR)
 			for h := range hosts[p][r] {
 				id := b.addNode(Host, fmt.Sprintf("h%d-%d-%d", p, r, h), cfg.Queues)
 				hosts[p][r][h] = id
 				b.setPart(id, int32(p))
-				b.addPair(id, tors[p][r], cfg.LinkCapacity)
+				_, torDown[p][r][h] = b.addPair(id, tors[p][r], cfg.LinkCapacity)
 			}
 		}
 	}
 
+	b.initForwarding()
 	t := &b.t
-	// Index: for each node, link to a given neighbor.
-	linkTo := make([]map[NodeID]LinkID, len(t.nodes))
-	for i := range linkTo {
-		linkTo[i] = make(map[NodeID]LinkID, len(t.out[i]))
-		for _, l := range t.out[i] {
-			linkTo[i][t.links[l].To] = l
+
+	// ECMP choices per destination ordinal: the leaf plane every ToR
+	// climbs to, and within plane li the spine a leaf of another pod
+	// climbs to.
+	plane := make([]int32, len(t.hosts))
+	spineOf := make([][]int32, cfg.LeavesPerPod) // [plane][ord] index in plane
+	for li := range spineOf {
+		spineOf[li] = make([]int32, len(t.hosts))
+	}
+	for ord, dst := range t.hosts {
+		plane[ord] = int32(int(hashDst(dst, 0x5aba)) % cfg.LeavesPerPod)
+		for li, pl := range planes {
+			spineOf[li][ord] = int32(int(hashDst(dst, uint32(li))) % len(pl))
 		}
 	}
 
-	// Populate LFTs for every destination host. Hosts get a default route
-	// up their single access link instead of per-destination entries —
-	// without that compression table construction is O(hosts²), which is
-	// what previously capped the buildable fabric size well below the
-	// hyperscale (10k+ host) configurations.
-	for i := range t.lft {
-		if t.nodes[i].Kind == Host {
-			t.defRoute[i] = t.out[i][0]
-			continue
-		}
-		t.lft[NodeID(i)] = make(map[NodeID]LinkID)
-	}
+	// Fill one row per switch. Up routes cover every destination first;
+	// the destinations below the switch are then overwritten with down
+	// routes.
 	for p := 0; p < cfg.Pods; p++ {
-		for r := 0; r < cfg.ToRsPerPod; r++ {
-			for _, dst := range hosts[p][r] {
-				dstToR := tors[p][r]
-				plane := int(hashDst(dst, 0x5aba)) % cfg.LeavesPerPod
-
-				// Destination ToR: down to the host.
-				t.lft[dstToR][dst] = linkTo[dstToR][dst]
-
-				// Other ToRs: up to the hashed leaf of their own pod.
-				for tp := 0; tp < cfg.Pods; tp++ {
-					for tr := 0; tr < cfg.ToRsPerPod; tr++ {
-						tor := tors[tp][tr]
-						if tor == dstToR {
-							continue
-						}
-						t.lft[tor][dst] = linkTo[tor][leaves[tp][plane]]
-					}
-				}
-
-				// Leaves: same pod → down to dst ToR; other pods → up to
-				// the hashed spine of the leaf's plane.
-				for lp := 0; lp < cfg.Pods; lp++ {
-					for li, leaf := range leaves[lp] {
-						if lp == p {
-							t.lft[leaf][dst] = linkTo[leaf][dstToR]
-							continue
-						}
-						pl := planes[li]
-						sp := pl[int(hashDst(dst, uint32(li)))%len(pl)]
-						t.lft[leaf][dst] = linkTo[leaf][sp]
-					}
-				}
-
-				// Spines: down to the destination pod's leaf in their plane.
-				for s, spID := range spines {
-					pli := s % cfg.LeavesPerPod
-					t.lft[spID][dst] = linkTo[spID][leaves[p][pli]]
+		for r, tor := range tors[p] {
+			// ToRs: up to the hashed leaf of their own pod; own hosts down.
+			row := t.lft[tor]
+			for ord := range row {
+				row[ord] = int32(torUp[p][r][plane[ord]])
+			}
+			for h, dst := range hosts[p][r] {
+				row[t.hostOrd[dst]] = int32(torDown[p][r][h])
+			}
+		}
+		for li, leaf := range leaves[p] {
+			// Leaves: other pods → up to the hashed spine of the leaf's
+			// plane; own pod → down to the destination's ToR.
+			row := t.lft[leaf]
+			up, pick := leafUp[p][li], spineOf[li]
+			for ord := range row {
+				row[ord] = int32(up[pick[ord]])
+			}
+			for r := range tors[p] {
+				for _, dst := range hosts[p][r] {
+					row[t.hostOrd[dst]] = int32(leafDown[p][li][r])
 				}
 			}
+		}
+	}
+	// Spines: down to the destination pod's leaf in their plane.
+	for s, sp := range spines {
+		row := t.lft[sp]
+		for ord, dst := range t.hosts {
+			row[ord] = int32(spineDown[s][t.partOf[dst]])
 		}
 	}
 	return t, nil

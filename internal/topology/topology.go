@@ -14,7 +14,6 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 )
@@ -64,20 +63,24 @@ type Link struct {
 // forwarding tables are immutable after construction; the only mutable
 // state is link liveness (FailLink/RestoreLink), versioned by an epoch so
 // route memos and controller solution caches can detect change.
+//
+// Forwarding tables are linear, as InfiniBand's are: each switch has one
+// dense row indexed by destination host ordinal (hostOrd), holding the
+// output link or -1 for no entry.
 type Topology struct {
-	nodes []Node
-	links []Link
-	out   [][]LinkID          // out[node] = outgoing links
-	lft   []map[NodeID]LinkID // lft[node][dstHost] = out link (hosts have single uplink)
-	hosts []NodeID
-	sws   []NodeID
+	nodes   []Node
+	links   []Link
+	out     [][]LinkID // out[node] = outgoing links
+	lft     [][]int32  // lft[switch][hostOrd[dst]] = out link or -1; nil for hosts
+	hosts   []NodeID
+	hostOrd []int32 // hostOrd[node] = index into hosts, -1 for switches
+	sws     []NodeID
 
 	// defRoute[node] is the forwarding entry used for any destination the
-	// node's LFT has no explicit entry for, or -1. Hosts have exactly one
-	// uplink, so builders install it here instead of materializing one LFT
-	// entry per (host, destination) pair — that compression is what keeps
-	// table construction O(switches × hosts) rather than O(hosts²) and
-	// makes the 10k+ host hyperscale fabrics buildable.
+	// node's LFT row has no entry for, or -1. Hosts have exactly one
+	// uplink, so builders install it here and leave the host's row nil:
+	// a row costs 4 B per host per switch, and one per host would make
+	// the tables O(hosts²) instead of O(switches × hosts).
 	defRoute []LinkID
 
 	// partOf[node] is the fabric partition (pod) a node belongs to, or
@@ -118,11 +121,31 @@ func (b *builder) addNode(kind NodeKind, name string, queues int) NodeID {
 	b.t.partOf = append(b.t.partOf, GlobalPart)
 	b.t.defRoute = append(b.t.defRoute, -1)
 	if kind == Host {
+		b.t.hostOrd = append(b.t.hostOrd, int32(len(b.t.hosts)))
 		b.t.hosts = append(b.t.hosts, id)
 	} else {
+		b.t.hostOrd = append(b.t.hostOrd, -1)
 		b.t.sws = append(b.t.sws, id)
 	}
 	return id
+}
+
+// initForwarding runs once every node and link exists. Hosts send
+// everything up their single uplink (a default route); every switch gets
+// an empty LFT row, carved from one backing array, for the builder to fill.
+func (b *builder) initForwarding() {
+	t := &b.t
+	for _, h := range t.hosts {
+		t.defRoute[h] = t.out[h][0]
+	}
+	n := len(t.hosts)
+	rows := make([]int32, len(t.sws)*n)
+	for i := range rows {
+		rows[i] = -1
+	}
+	for i, sw := range t.sws {
+		t.lft[sw] = rows[i*n : (i+1)*n : (i+1)*n]
+	}
 }
 
 // setPart annotates a node's fabric partition (pod).
@@ -178,15 +201,6 @@ func (t *Topology) OutLinks(n NodeID) []LinkID {
 	return t.out[n]
 }
 
-// ForwardingTable returns the LFT of a node: destination host → output
-// link. This is what the controller's path detection reads.
-func (t *Topology) ForwardingTable(n NodeID) map[NodeID]LinkID {
-	if int(n) < 0 || int(n) >= len(t.lft) {
-		return nil
-	}
-	return t.lft[n]
-}
-
 // QueuesAt returns the per-port queue count at the node that owns link id.
 func (t *Topology) QueuesAt(id LinkID) int {
 	l, err := t.Link(id)
@@ -233,17 +247,19 @@ func (t *Topology) Route(src, dst NodeID) ([]LinkID, error) {
 }
 
 // routeLFT walks the forwarding tables hop by hop, ignoring liveness.
-// Nodes with no explicit entry for dst fall back to their default route
-// (hosts: the single uplink).
+// Nodes with no entry for dst fall back to their default route (hosts:
+// the single uplink). dst must be a host.
 func (t *Topology) routeLFT(src, dst NodeID) ([]LinkID, error) {
 	var path []LinkID
+	ord := t.hostOrd[dst]
 	cur := src
 	for cur != dst {
-		next, ok := t.lft[cur][dst]
-		if !ok {
-			if d := t.defRoute[cur]; d >= 0 {
-				next = d
-			} else {
+		next := LinkID(-1)
+		if row := t.lft[cur]; row != nil {
+			next = LinkID(row[ord])
+		}
+		if next < 0 {
+			if next = t.defRoute[cur]; next < 0 {
 				return nil, fmt.Errorf("%w: from %d to %d (stuck at %d)", ErrNoRoute, src, dst, cur)
 			}
 		}
@@ -416,14 +432,16 @@ func (t *Topology) Epoch() uint64 { return t.epoch.Load() }
 
 // hashDst provides the deterministic spreading the subnet manager applies
 // when several equal-cost uplinks exist: destination-based so that all
-// traffic to one host takes a stable path.
+// traffic to one host takes a stable path. It is 32-bit FNV-1a over the
+// 8 little-endian bytes of dst<<32 | salt, computed inline so the table
+// build does not allocate a hasher per entry.
 func hashDst(dst NodeID, salt uint32) uint32 {
-	h := fnv.New32a()
-	var buf [8]byte
+	const offset32, prime32 = 2166136261, 16777619
 	v := uint64(dst)<<32 | uint64(salt)
+	h := uint32(offset32)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		h ^= uint32(byte(v >> (8 * i)))
+		h *= prime32
 	}
-	h.Write(buf[:])
-	return h.Sum32()
+	return h
 }

@@ -248,13 +248,29 @@ func TestQueuesAt(t *testing.T) {
 }
 
 func TestForwardingTableCoversAllHosts(t *testing.T) {
-	top := smallFabric(t)
-	hosts := top.Hosts()
-	for _, sw := range top.Switches() {
-		ft := top.ForwardingTable(sw)
-		for _, h := range hosts {
-			if _, ok := ft[h]; !ok {
-				t.Fatalf("switch %d LFT missing host %d", sw, h)
+	single, err := NewSingleSwitch(SingleSwitchConfig{Hosts: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, top := range []*Topology{smallFabric(t), single} {
+		for _, sw := range top.Switches() {
+			row := top.lft[sw]
+			if len(row) != len(top.Hosts()) {
+				t.Fatalf("switch %d LFT row has %d entries, want %d", sw, len(row), len(top.Hosts()))
+			}
+			for _, h := range top.Hosts() {
+				l := row[top.hostOrd[h]]
+				if l < 0 {
+					t.Fatalf("switch %d LFT missing host %d", sw, h)
+				}
+				if top.links[l].From != sw {
+					t.Fatalf("switch %d LFT entry for host %d is link %d, not one of its ports", sw, h, l)
+				}
+			}
+		}
+		for _, h := range top.Hosts() {
+			if top.lft[h] != nil {
+				t.Fatalf("host %d has an LFT row; hosts use their default route", h)
 			}
 		}
 	}
