@@ -409,29 +409,22 @@ func (e *Engine) takeDone(id FlowID) func(*Engine, FlowID) {
 // observeUtilization refreshes the per-allocator port-utilization gauges
 // after a rate recomputation: the max and mean utilization across the
 // busy links touched by the last allocation (under a full recompute that
-// is every busy link; under a scoped one, the dirty component's links —
-// the only ones whose utilization can have changed).
+// is every busy link; under a scoped one, the dirty components' links —
+// the only ones whose utilization can have changed). The coordinator's
+// walk recorded those links as it marked them.
 func (e *Engine) observeUtilization() {
-	ep := e.epoch.Add(1)
 	var sum, max float64
 	n := 0
-	for _, id := range e.walk.ids {
-		f := &e.net.flows[id]
-		if !f.active {
+	for _, l := range e.walk.links {
+		if len(e.net.linkFlows[l]) == 0 {
 			continue
 		}
-		for _, l := range f.Path {
-			if e.linkSeen[l] == ep || len(e.net.linkFlows[l]) == 0 {
-				continue
-			}
-			e.linkSeen[l] = ep
-			u := e.net.LinkUtilization(l)
-			sum += u
-			if u > max {
-				max = u
-			}
-			n++
+		u := e.net.LinkUtilization(l)
+		sum += u
+		if u > max {
+			max = u
 		}
+		n++
 	}
 	gMax, gMean := e.tel.utilGauges(e.alloc.Name())
 	gMax.Set(max)

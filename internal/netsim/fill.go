@@ -65,25 +65,34 @@ func (FlatClassifier) FlowClass(*Flow, topology.LinkID) int { return 0 }
 // calls to avoid per-allocation garbage.
 type Filler struct {
 	capRem  []float64
-	sumW    []float64 // weighted demand of unfixed flows per link
+	sumW    []float64 // weighted demand of unfixed flows per link (classed fill)
 	cnt     [][]int32 // per link, per class: unfixed-flow count
 	touched []topology.LinkID
 	inRun   []bool   // per link: appears in the current Run
 	pending []FlowID // flows registered in the current run
 	freeze  []FlowID // per-round scratch: flows of the bottleneck class
 
-	// The bottleneck search keeps one cached minimum per link — its
+	// The bottleneck search keeps one key per link — a lower bound on its
 	// smallest per-class unit entitlement — in a winner tree over touched
-	// indices, so each round reads the global minimum at the root and a
-	// freeze re-keys only the links the frozen flows cross, each in
-	// O(log touched). The tree picks the lowest touched index among equal
-	// minimal keys, which is the exhaustive registration-order scan's
-	// pick (including exact ties) bit for bit.
-	keys     minTree // leaf i: cached min unit entitlement of touched[i]
-	bestc    []int32 // per touched index: arg-min class; -1 = no demand
+	// indices, and re-keys lazily. The invariant: every stored key is ≤
+	// its link's current key. A freeze almost always raises the keys of
+	// the links it touches; it lowers one only through float rounding at
+	// ties, or under WFQ queue classes, where freezing part of a queue
+	// at a lower rate elsewhere shrinks its siblings' share. So after a
+	// freeze an affected link is re-keyed only when its key fell below
+	// the stored one, and a spent link keeps its stale finite key. Each
+	// round recomputes the root link's key: if it differs from the stored
+	// key the root is stale, so it is raised and the root read again;
+	// otherwise it is the pick. A fresh root i with key k is the eager
+	// tree's pick exactly: every link j has current key ≥ stored key ≥ k,
+	// and a j < i with current key k would have stored key k and won the
+	// tie. The tree picks the lowest touched index among equal minimal
+	// keys, which is the exhaustive registration-order scan's pick
+	// (including exact ties) bit for bit.
+	keys     minTree // leaf i: lower bound on the key of touched[i]
 	cntFlat  []int32 // per link: unfixed-flow count (flat fast path)
 	tidx     []int32 // per link: index into touched (valid while inRun)
-	mark     []int64 // per link: last freeze round that refreshed its key
+	mark     []int64 // per link: last freeze round that re-checked its key
 	affected []topology.LinkID
 
 	// additive makes fix() add to existing rates instead of overwriting —
@@ -227,24 +236,25 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 	// share, and *every* unfixed flow in that pair has exactly that unit
 	// entitlement (it crosses the pair, so it cannot be higher; the pair
 	// is the global minimum, so it cannot be lower). Each round therefore
-	// reads the minimum of the per-link cached minima, freezes a whole
-	// class at once, and re-keys only the links the frozen flows cross.
+	// reads the minimum of the per-link keys, freezes a whole class at
+	// once, and lowers only the keys of links the frozen flows cross.
 	fl.keys.key = slices.Grow(fl.keys.key[:0], len(fl.touched)+1) // +1: build's sentinel
-	fl.bestc = fl.bestc[:0]
 	for _, l := range fl.touched {
-		key, q := fl.linkKey(l, cls)
+		key, _ := fl.linkKey(l, cls)
 		fl.keys.key = append(fl.keys.key, key)
-		fl.bestc = append(fl.bestc, int32(q))
 	}
 	fl.keys.build()
 	remaining := len(fl.pending)
 	for remaining > 0 {
-		ti, best := fl.keys.min()
+		ti, stored := fl.keys.min()
 		if ti < 0 {
 			break // no demand left (cannot happen while remaining > 0)
 		}
 		bl := fl.touched[ti]
-		bc := int(fl.bestc[ti])
+		best, bc := fl.linkKey(bl, cls)
+		if fl.keys.stale(ti, best, stored) {
+			continue
+		}
 		// Collect then freeze the bottleneck class (fix mutates counters).
 		fl.freeze = fl.freeze[:0]
 		for _, fid := range net.linkFlows[bl] {
@@ -270,10 +280,8 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 			break // inconsistent counters; avoid spinning
 		}
 		for _, l := range fl.affected {
-			ati := int(fl.tidx[l])
-			key, q := fl.linkKey(l, cls)
-			fl.keys.set(ati, key)
-			fl.bestc[ati] = int32(q)
+			key, _ := fl.linkKey(l, cls)
+			fl.keys.lower(int(fl.tidx[l]), key)
 		}
 	}
 
@@ -292,7 +300,7 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 // weight-1 class per link. cnt/demand/linkKey collapse to a single
 // per-link connection count, and a link's key is capRem/count directly
 // (share × weight 1.0 and weight-1 demand sums are bitwise identical to
-// the generic expressions).
+// the generic expressions), so the flat fill keeps no sumW.
 func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 	fl.touched = fl.touched[:0]
 	fl.pending = fl.pending[:0]
@@ -326,26 +334,20 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 	}
 	fl.keys.key = slices.Grow(fl.keys.key[:0], len(fl.touched)+1) // +1: build's sentinel
 	for _, l := range fl.touched {
-		n := fl.cntFlat[l]
-		fl.sumW[l] = float64(n)
-		if n <= 0 {
-			fl.keys.key = append(fl.keys.key, math.Inf(1))
-			continue
-		}
-		c := fl.capRem[l]
-		if c < 0 {
-			c = 0
-		}
-		fl.keys.key = append(fl.keys.key, c/float64(n))
+		fl.keys.key = append(fl.keys.key, fl.flatKey(l))
 	}
 	fl.keys.build()
 	remaining := len(fl.pending)
 	for remaining > 0 {
-		ti, best := fl.keys.min()
+		ti, stored := fl.keys.min()
 		if ti < 0 {
 			break // no demand left (cannot happen while remaining > 0)
 		}
 		bl := fl.touched[ti]
+		best := fl.flatKey(bl)
+		if fl.keys.stale(ti, best, stored) {
+			continue
+		}
 		fl.freeze = fl.freeze[:0]
 		for _, fid := range net.linkFlows[bl] {
 			f := &net.flows[fid]
@@ -372,7 +374,6 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 				}
 				fl.capRem[l] = r
 				fl.cntFlat[l] -= int32(f.Mult)
-				fl.sumW[l] -= 1 * float64(f.Mult)
 				if fl.mark[l] != ep {
 					fl.mark[l] = ep
 					fl.affected = append(fl.affected, l)
@@ -383,17 +384,7 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 			break // inconsistent counters; avoid spinning
 		}
 		for _, l := range fl.affected {
-			ati := int(fl.tidx[l])
-			n := fl.cntFlat[l]
-			if n <= 0 || fl.sumW[l] <= 1e-12 {
-				fl.keys.set(ati, math.Inf(1))
-				continue
-			}
-			c := fl.capRem[l]
-			if c < 0 {
-				c = 0
-			}
-			fl.keys.set(ati, c/fl.sumW[l])
+			fl.keys.lower(int(fl.tidx[l]), fl.flatKey(l))
 		}
 	}
 	for _, l := range fl.touched {
@@ -404,6 +395,20 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 			net.flows[id].inRun = false
 		}
 	}
+}
+
+// flatKey is linkKey under FlatClassifier: a link's per-connection fair
+// share, or +Inf when no unfixed connection crosses it.
+func (fl *Filler) flatKey(l topology.LinkID) float64 {
+	n := fl.cntFlat[l]
+	if n <= 0 {
+		return math.Inf(1)
+	}
+	c := fl.capRem[l]
+	if c < 0 {
+		c = 0
+	}
+	return c / float64(n)
 }
 
 // fix assigns the final rate to f and removes its demand from every link
@@ -540,6 +545,26 @@ func (t *minTree) min() (int, float64) {
 		return -1, k
 	}
 	return int(i), k
+}
+
+// lower re-keys leaf i to k only when k is below its stored key: the
+// one re-key a lazy fill must make eagerly.
+func (t *minTree) lower(i int, k float64) {
+	if k < t.key[i] {
+		t.set(i, k)
+	}
+}
+
+// stale reports whether the root leaf i is stale: its current key k
+// differs from the finite key stored, which min returned. A stale root is
+// re-keyed to k (NaN stored as +Inf), and the caller reads the root
+// again.
+func (t *minTree) stale(i int, k, stored float64) bool {
+	if k == stored {
+		return false
+	}
+	t.set(i, k)
+	return true
 }
 
 // set re-keys leaf i and re-derives its path to the root, stopping at

@@ -115,10 +115,6 @@ func TestFillerCapacityOverrideRejectsNonPositive(t *testing.T) {
 	if got := net.Capacity(links[0].ID); got != 40 {
 		t.Errorf("override not applied: capacity %g, want 40", got)
 	}
-	net.ClearCapacityOverride(links[0].ID)
-	if got := net.Capacity(links[0].ID); got != links[0].Capacity {
-		t.Errorf("override not cleared: capacity %g, want %g", got, links[0].Capacity)
-	}
 }
 
 func TestFillerAdditiveTopUpComposes(t *testing.T) {

@@ -467,13 +467,6 @@ func (n *Network) SetCapacityOverride(l topology.LinkID, bps float64) error {
 	return nil
 }
 
-// ClearCapacityOverride restores a link's native capacity.
-func (n *Network) ClearCapacityOverride(l topology.LinkID) {
-	if lk, err := n.top.Link(l); err == nil {
-		n.capEff[l] = lk.Capacity
-	}
-}
-
 // ThrottleHost caps both directions of a host's access link to fraction
 // of their native capacity — the profiler's "limit the bandwidth of NICs
 // of all nodes to a certain percentage of link capacity" (§4.1).
@@ -504,20 +497,6 @@ func (n *Network) ThrottleHost(h topology.NodeID, fraction float64) error {
 		}
 	}
 	return nil
-}
-
-// UnthrottleHost removes the overrides installed by ThrottleHost.
-func (n *Network) UnthrottleHost(h topology.NodeID) {
-	for _, up := range n.top.OutLinks(h) {
-		n.ClearCapacityOverride(up)
-		lk, _ := n.top.Link(up)
-		for _, down := range n.top.OutLinks(lk.To) {
-			dl, _ := n.top.Link(down)
-			if dl.To == h {
-				n.ClearCapacityOverride(down)
-			}
-		}
-	}
 }
 
 // LinkUtilization returns, for a link, the fraction of its effective

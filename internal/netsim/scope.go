@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"saba/internal/sim"
@@ -20,15 +21,20 @@ import (
 // scopeWalk is the scratch of one component walk. ids holds every
 // component's flows contiguously, each component sorted ascending, with
 // component c at ids[off[c]:off[c+1]]; old holds the rates in force
-// before the recompute, parallel to ids. The walk's epoch marks live in
-// the engine-shared flowSeen and linkSeen arrays, which is safe for
+// before the recompute, parallel to ids; links holds every link the walk
+// marked, in marking order. The walk's epoch marks live in the
+// engine-shared flowSeen and linkSeen arrays, which is safe for
 // concurrent windows because each walk draws a unique epoch and an
-// isolated shard's components reach only its own flows and links.
+// isolated shard's components reach only its own flows and links. The
+// bitset ascend orders components with is the walk's own, so concurrent
+// windows never read one another's bits.
 type scopeWalk struct {
 	ids   []FlowID
 	off   []int
 	old   []float64
+	links []topology.LinkID
 	stack []topology.LinkID // BFS worklist
+	bits  []uint64          // ascend's scratch; all zero between calls
 }
 
 // expand replaces the walk's components with those the seeds reach in
@@ -43,13 +49,9 @@ type scopeWalk struct {
 // components share no links by construction, so AllocateScoped on one is
 // independent of every other, which concurrent allocation relies on.
 func (w *scopeWalk) expand(net *Network, flowSeen, linkSeen []int64, ep int64, links []topology.LinkID, flows []FlowID) {
-	w.ids, w.off = w.ids[:0], w.off[:0]
+	w.ids, w.off, w.links = w.ids[:0], w.off[:0], w.links[:0]
 	for _, l := range links {
-		if linkSeen[l] == ep {
-			continue
-		}
-		linkSeen[l] = ep
-		w.stack = append(w.stack[:0], l)
+		w.push(linkSeen, ep, l)
 		w.grow(net, flowSeen, linkSeen, ep, len(w.ids))
 	}
 	for _, id := range flows {
@@ -60,16 +62,22 @@ func (w *scopeWalk) expand(net *Network, flowSeen, linkSeen []int64, ep int64, l
 		start := len(w.ids)
 		flowSeen[id] = ep
 		w.ids = append(w.ids, id)
-		w.stack = w.stack[:0]
 		for _, l := range f.Path {
-			if linkSeen[l] != ep {
-				linkSeen[l] = ep
-				w.stack = append(w.stack, l)
-			}
+			w.push(linkSeen, ep, l)
 		}
 		w.grow(net, flowSeen, linkSeen, ep, start)
 	}
 	w.off = append(w.off, len(w.ids))
+}
+
+// push marks link l, records it and queues it for the BFS, unless the
+// walk has marked it already.
+func (w *scopeWalk) push(linkSeen []int64, ep int64, l topology.LinkID) {
+	if linkSeen[l] != ep {
+		linkSeen[l] = ep
+		w.links = append(w.links, l)
+		w.stack = append(w.stack, l)
+	}
 }
 
 // grow drains the link stack into ids and closes out the component that
@@ -85,16 +93,69 @@ func (w *scopeWalk) grow(net *Network, flowSeen, linkSeen []int64, ep int64, sta
 			flowSeen[fid] = ep
 			w.ids = append(w.ids, fid)
 			for _, fl := range net.flows[fid].Path {
-				if linkSeen[fl] != ep {
-					linkSeen[fl] = ep
-					w.stack = append(w.stack, fl)
-				}
+				w.push(linkSeen, ep, fl)
 			}
 		}
 	}
 	if len(w.ids) > start {
-		slices.Sort(w.ids[start:])
+		w.ascend(w.ids[start:])
 		w.off = append(w.off, start)
+	}
+}
+
+// ascend puts one component's distinct flow IDs in ascending order. A
+// component dense in its ID span — no more 64-bit words of span than
+// n·⌊log₂ n⌋ for n flows, so reading the span back costs no more than
+// sorting would — is ordered through the walk's bitset: each ID is
+// marked, then the span is read back in order, clearing each word as it
+// goes, so the bitset is all zero again afterwards. A sparse component
+// is sorted. The order is the same either way.
+func (w *scopeWalk) ascend(ids []FlowID) {
+	n := len(ids)
+	if n < 2 {
+		return
+	}
+	lo, hi := ids[0], ids[0]
+	for _, id := range ids[1:] {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	base := int(lo) >> 6
+	span := int(hi)>>6 - base + 1
+	if !denseSpan(n, span) {
+		slices.Sort(ids)
+		return
+	}
+	if len(w.bits) < span {
+		w.bits = make([]uint64, span)
+	}
+	b := w.bits[:span]
+	for _, id := range ids {
+		b[int(id)>>6-base] |= 1 << (uint(id) & 63)
+	}
+	k := 0
+	for i, word := range b {
+		for word != 0 {
+			ids[k] = FlowID((base+i)<<6 + bits.TrailingZeros64(word))
+			k++
+			word &= word - 1
+		}
+		b[i] = 0
+	}
+}
+
+// denseSpan reports whether ascend orders n IDs spanning span bitset
+// words through the bitset rather than by sorting.
+func denseSpan(n, span int) bool { return span <= n*(bits.Len(uint(n))-1) }
+
+// cover sets the walk to the whole active flow set, as full and widened
+// recomputes allocate it, with links every link that carries a flow.
+func (w *scopeWalk) cover(net *Network) {
+	w.ids = net.ActiveInto(w.ids[:0])
+	w.links = w.links[:0]
+	for l, fs := range net.linkFlows {
+		if len(fs) > 0 {
+			w.links = append(w.links, topology.LinkID(l))
+		}
 	}
 }
 

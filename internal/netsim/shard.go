@@ -576,13 +576,13 @@ func (e *Engine) recomputeUnion(now float64, scoped bool) {
 		e.splitDirty()
 		slices.Sort(w.ids)
 	} else {
-		w.ids = e.net.ActiveInto(w.ids[:0])
+		w.cover(e.net)
 	}
 	w.save(e.net)
 	if !e.alloc.AllocateScoped(e.net, w.ids) {
 		if scoped {
 			// Allocator declined: widen to the full active set.
-			w.ids = e.net.ActiveInto(w.ids[:0])
+			w.cover(e.net)
 			w.save(e.net)
 		}
 		e.alloc.Allocate(e.net)

@@ -7,7 +7,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"saba/internal/netsim"
 	"saba/internal/telemetry"
@@ -204,17 +203,4 @@ func (r *Recorder) Series() []Point {
 		}
 	}
 	return pts
-}
-
-// WriteCSV renders the timeline as "time,cpu,net" rows with a header.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "time_s,cpu_pct,net_pct"); err != nil {
-		return err
-	}
-	for _, p := range r.Series() {
-		if _, err := fmt.Fprintf(w, "%.2f,%.2f,%.2f\n", p.Time, p.CPU, p.Net); err != nil {
-			return err
-		}
-	}
-	return nil
 }

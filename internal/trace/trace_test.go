@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"saba/internal/netsim"
@@ -131,22 +129,6 @@ func TestFig2ShapeSerialVsOverlap(t *testing.T) {
 	}
 	if both < 5 {
 		t.Errorf("overlapped job shows only %d buckets with simultaneous CPU+net", both)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	r, _ := NewRecorder(1, []topology.NodeID{1}, 100)
-	r.MarkCPU(0, 2, 1)
-	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "time_s,cpu_pct,net_pct" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if len(lines) != 3 {
-		t.Errorf("CSV has %d lines, want 3", len(lines))
 	}
 }
 
