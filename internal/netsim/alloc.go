@@ -62,22 +62,25 @@ func NewIdealMaxMin(net *Network) *IdealMaxMin {
 // Name implements Allocator.
 func (*IdealMaxMin) Name() string { return "ideal-maxmin" }
 
-// Allocate implements Allocator.
+// Allocate implements Allocator: the fill from zero over every active
+// flow, the reference a resumed fill reproduces.
 func (a *IdealMaxMin) Allocate(net *Network) {
-	a.AllocateScoped(net, net.ActiveIDs())
+	a.filler.flat(net, net.ActiveIDs(), true, 0)
 }
 
 // AllocateScoped implements Allocator: progressive filling is link-local,
 // so filling only the dirty components reproduces the global result.
+// After departures alone the fill resumes at the earliest departed flow's
+// round instead of starting from zero (resumeLevel), bit for bit.
 func (a *IdealMaxMin) AllocateScoped(net *Network, ids []FlowID) bool {
-	a.filler.ResetFor(net, ids)
-	a.filler.Run(net, ids, FlatClassifier{})
+	a.filler.flat(net, ids, true, resumeLevel(net, ids))
 	return true
 }
 
 // ShardClone implements ShardableAllocator: the discipline carries no
-// state beyond Filler scratch, so a clone is a scoped view of the
-// parent's Filler (shared per-link arrays, owned run scratch).
+// state beyond Filler scratch and the flows' freeze records, so a clone
+// is a scoped view of the parent's Filler (shared per-link state, owned
+// run scratch).
 func (a *IdealMaxMin) ShardClone() Allocator {
 	return &IdealMaxMin{filler: a.filler.cloneScoped()}
 }
@@ -228,7 +231,7 @@ func (a *FECN) AllocateScoped(net *Network, ids []FlowID) bool {
 	// Pass 2: refill with congested links derated.
 	a.filler.ResetFor(net, ids)
 	for i, l := range a.derLinks {
-		a.filler.capRem[l] = a.derCap[i]
+		a.filler.links[l].capRem = a.derCap[i]
 	}
 	a.filler.Run(net, ids, FlatClassifier{})
 	return true

@@ -194,7 +194,7 @@ func (d *Decentral) AllocateScoped(net *Network, ids []FlowID) bool {
 			}
 			minResidual := math.Inf(1)
 			for _, l := range f.Path {
-				if r := d.filler.capRem[l]; r < minResidual {
+				if r := d.filler.links[l].capRem; r < minResidual {
 					minResidual = r
 				}
 			}
@@ -343,7 +343,7 @@ func (d *Decentral) Heartbeat(net *Network, now float64) {
 // models, so per-clone solution caches stay bit-exact with the parent's
 // — a cache hit and a fresh solve yield the same weights. Clones share
 // objs (written only from serial phases), the atomic telemetry
-// counters, and the filler's per-link arrays (cloneScoped); solution
+// counters, and the filler's per-link state (cloneScoped); solution
 // caches, per-link solution state and run scratch are owned, and
 // the plain Stats() counters stay clone-local (only the parent's are
 // reported). With a telemetry channel attached the allocator is not

@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 
@@ -48,12 +49,15 @@ type engineMetrics struct {
 	engineID string
 	utilMax  map[string]*telemetry.Gauge // netsim.port_util_max{alloc=...,engine=...}
 	utilMean map[string]*telemetry.Gauge // netsim.port_util_mean{alloc=...,engine=...}
+
+	ref *engineRef // notes every engine-labeled gauge, for release
 }
 
-func newEngineMetrics(reg *telemetry.Registry, engineID string) *engineMetrics {
-	return &engineMetrics{
+func newEngineMetrics(reg *telemetry.Registry, engineID string, ref *engineRef) *engineMetrics {
+	m := &engineMetrics{
 		reg:              reg,
 		engineID:         engineID,
+		ref:              ref,
 		events:           reg.Counter("netsim.events"),
 		rateRecomputes:   reg.Counter("netsim.rate_recomputes"),
 		scopedRecomputes: reg.Counter("netsim.scoped_recomputes"),
@@ -66,12 +70,22 @@ func newEngineMetrics(reg *telemetry.Registry, engineID string) *engineMetrics {
 		flowResumes:      reg.Counter("netsim.flow_resumes"),
 		lookaheadRounds:  reg.Counter("netsim.lookahead_rounds"),
 		lookaheadEvents:  reg.Counter("netsim.lookahead_completions"),
-		flowsActive:      reg.Gauge(telemetry.Label("netsim.flows_active", "engine", engineID)),
-		heapSize:         reg.Gauge(telemetry.Label("netsim.completion_heap_size", "engine", engineID)),
 		flowSeconds:      reg.Histogram("netsim.flow_seconds"),
 		utilMax:          map[string]*telemetry.Gauge{},
 		utilMean:         map[string]*telemetry.Gauge{},
 	}
+	m.flowsActive = m.gauge("netsim.flows_active")
+	m.heapSize = m.gauge("netsim.completion_heap_size")
+	return m
+}
+
+// gauge resolves one of the engine's own gauges: name labeled with the
+// engine id and the given label pairs. The engine releases it when it
+// is dropped or rebound (engineRef).
+func (m *engineMetrics) gauge(name string, kv ...string) *telemetry.Gauge {
+	full := telemetry.Label(name, append(kv, "engine", m.engineID)...)
+	m.ref.gauges[full] = struct{}{}
+	return m.reg.Gauge(full)
 }
 
 // utilGauges returns the utilization gauges for the named allocator,
@@ -79,15 +93,57 @@ func newEngineMetrics(reg *telemetry.Registry, engineID string) *engineMetrics {
 func (m *engineMetrics) utilGauges(alloc string) (max, mean *telemetry.Gauge) {
 	max = m.utilMax[alloc]
 	if max == nil {
-		max = m.reg.Gauge(telemetry.Label("netsim.port_util_max", "alloc", alloc, "engine", m.engineID))
+		max = m.gauge("netsim.port_util_max", "alloc", alloc)
 		m.utilMax[alloc] = max
 	}
 	mean = m.utilMean[alloc]
 	if mean == nil {
-		mean = m.reg.Gauge(telemetry.Label("netsim.port_util_mean", "alloc", alloc, "engine", m.engineID))
+		mean = m.gauge("netsim.port_util_mean", "alloc", alloc)
 		m.utilMean[alloc] = mean
 	}
 	return max, mean
+}
+
+// engineRef is the finalizer-bearing handle on what an engine holds
+// outside itself: its current worker pool (nil when none runs) and the
+// names of the gauges it registered under its engine label in reg. A
+// dropped engine releases both: the pool's workers stop, and the gauges
+// leave the registry instead of piling up in a process that builds
+// thousands of short-lived engines. The finalizer sits on this small
+// handle, which only the engine references, not on the engine: Go keeps
+// an object with a finalizer, and all it reaches, alive through one more
+// collection, which on the engine would hold a dropped engine's network
+// and fill state for a GC cycle. The pool's workers reference only the
+// pool, never the engine between phases, so an abandoned engine becomes
+// unreachable.
+type engineRef struct {
+	w      *shardWorkers
+	reg    *telemetry.Registry
+	gauges map[string]struct{}
+}
+
+func newEngineRef(reg *telemetry.Registry) *engineRef {
+	r := &engineRef{reg: reg, gauges: map[string]struct{}{}}
+	runtime.SetFinalizer(r, (*engineRef).release)
+	return r
+}
+
+// release stops the worker pool and forgets the gauges.
+func (r *engineRef) release() {
+	if r.w != nil {
+		r.w.close()
+	}
+	r.forgetGauges()
+}
+
+// forgetGauges unregisters every gauge noted so far from reg.
+func (r *engineRef) forgetGauges() {
+	names := make([]string, 0, len(r.gauges))
+	for n := range r.gauges {
+		names = append(names, n)
+	}
+	r.reg.ForgetGauges(names...)
+	clear(r.gauges)
 }
 
 // Engine is the fluid discrete-event driver: it alternates between
@@ -155,7 +211,7 @@ type Engine struct {
 	onDoneCount   int
 	pureCallbacks bool
 	inPure        bool
-	pool          *poolRef // worker-pool finalizer handle; nil until a pool starts
+	ref           *engineRef // worker pool and labeled gauges, released with the engine
 
 	// Stalled-flow tracking: flows parked with no live path after a link
 	// failure. stalled may hold stale or duplicate entries (slots recycle);
@@ -185,11 +241,13 @@ var (
 // NewEngine creates an engine over the network with the given allocator.
 func NewEngine(net *Network, alloc Allocator) *Engine {
 	id := strconv.FormatUint(engineSeq.Add(1), 10)
+	ref := newEngineRef(telemetry.Default)
 	e := &Engine{
 		net:      net,
 		alloc:    alloc,
 		engineID: id,
-		tel:      newEngineMetrics(telemetry.Default, id),
+		ref:      ref,
+		tel:      newEngineMetrics(telemetry.Default, id, ref),
 		linkSeen: make([]int64, len(net.linkFlows)),
 	}
 	e.SetShards(1)
@@ -197,9 +255,12 @@ func NewEngine(net *Network, alloc Allocator) *Engine {
 }
 
 // SetTelemetry rebinds the engine's instruments to reg (tests use this to
-// isolate from the process-wide default registry).
+// isolate from the process-wide default registry). The engine's labeled
+// gauges leave the registry it was bound to.
 func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
-	e.tel = newEngineMetrics(reg, e.engineID)
+	e.ref.forgetGauges()
+	e.ref.reg = reg
+	e.tel = newEngineMetrics(reg, e.engineID, e.ref)
 	e.bindShardGauges()
 }
 

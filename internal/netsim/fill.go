@@ -8,15 +8,17 @@ import (
 	"saba/internal/topology"
 )
 
-// markEpoch issues process-unique epochs for the mark-array pattern the
-// allocators use ("was this link/app seen during the current pass?"):
-// a mark array holds the epoch of its last visit and a slot is fresh
-// iff it equals the pass's epoch. Drawing epochs from one global atomic
-// counter makes every pass's epoch unique across all allocator
-// instances and goroutines, which is what lets shard clones share mark
-// arrays (cloneScoped): a stale value written by another clone can
-// never collide with a fresh epoch. Epoch values never influence
-// allocation arithmetic, so global sequencing cannot perturb results.
+// markEpoch issues process-unique epochs for the mark pattern the
+// allocators use ("was this link/app seen during the current pass?"): a
+// mark holds the epoch of its last visit and a slot is fresh iff it
+// equals the pass's epoch. Drawing epochs from one global atomic counter
+// makes every pass's epoch unique across all allocator instances and
+// goroutines, which is what lets shard clones share per-link state
+// (cloneScoped): a stale value written by another clone can never
+// collide with a fresh epoch. The flat fill also numbers its freezes
+// from it, so freeze numbers rise with fill order within a component.
+// Epoch values never influence allocation arithmetic, so global
+// sequencing cannot perturb results.
 var markEpoch atomic.Int64
 
 // LocalRate is the rate assigned to flows whose source and destination are
@@ -64,11 +66,8 @@ func (FlatClassifier) FlowClass(*Flow, topology.LinkID) int { return 0 }
 // flows at the global minimum are frozen there. State is reused across
 // calls to avoid per-allocation garbage.
 type Filler struct {
-	capRem  []float64
-	sumW    []float64 // weighted demand of unfixed flows per link (classed fill)
-	cnt     [][]int32 // per link, per class: unfixed-flow count
+	links   []linkState // per link, indexed by LinkID
 	touched []topology.LinkID
-	inRun   []bool   // per link: appears in the current Run
 	pending []FlowID // flows registered in the current run
 	freeze  []FlowID // per-round scratch: flows of the bottleneck class
 
@@ -90,9 +89,6 @@ type Filler struct {
 	// keys, which is the exhaustive registration-order scan's pick
 	// (including exact ties) bit for bit.
 	keys     minTree // leaf i: lower bound on the key of touched[i]
-	cntFlat  []int32 // per link: unfixed-flow count (flat fast path)
-	tidx     []int32 // per link: index into touched (valid while inRun)
-	mark     []int64 // per link: last freeze round that re-checked its key
 	affected []topology.LinkID
 
 	// additive makes fix() add to existing rates instead of overwriting —
@@ -101,49 +97,43 @@ type Filler struct {
 	additive bool
 }
 
+// linkState is one link's fill state. A round reads and writes a link's
+// residual, count, mark and tree index together, so they live in one
+// 64-byte record — one cache line per link — rather than in parallel
+// arrays.
+type linkState struct {
+	capRem float64 // remaining capacity
+	sumW   float64 // weighted demand of unfixed run-flows (classed fill)
+	mark   int64   // markEpoch of the last pass or round that visited the link
+	keep   int64   // resume: freeze number of the latest kept flow crossing it
+	cls    []int32 // per class: unfixed-flow count (classed fill)
+	cnt    int32   // unfixed connections (flat fill)
+	tidx   int32   // index into touched (valid during a run)
+}
+
 // NewFiller creates a Filler sized for the network's link count.
 func NewFiller(net *Network) *Filler {
-	nl := len(net.Topology().Links())
-	return &Filler{
-		capRem:  make([]float64, nl),
-		sumW:    make([]float64, nl),
-		cnt:     make([][]int32, nl),
-		cntFlat: make([]int32, nl),
-		inRun:   make([]bool, nl),
-		tidx:    make([]int32, nl),
-		mark:    make([]int64, nl),
-	}
+	return &Filler{links: make([]linkState, len(net.Topology().Links()))}
 }
 
 // cloneScoped returns a Filler for concurrent scoped runs that SHARES
-// the parent's per-link arrays (capRem, sumW, cnt, cntFlat, inRun,
-// tidx, mark) and owns only the per-run compact scratch. Sharing is
-// safe because every concurrent caller operates on a distinct
+// the parent's per-link state and owns only the per-run compact scratch.
+// Sharing is safe because every concurrent caller operates on a distinct
 // link-connected component — two components share no link by
-// construction, so element writes to the per-link arrays never
-// collide — and pass freshness is tracked through globally unique
-// markEpoch values, so stale marks left by another clone can never
-// alias a live pass. This is what the sharded engine hands each
-// allocator clone (shard.go): clones cost O(1) memory instead of
-// re-allocating (and re-growing) seven link-sized arrays each.
+// construction, so writes to the per-link records never collide — and
+// pass freshness is tracked through globally unique markEpoch values, so
+// stale marks left by another clone can never alias a live pass. This is
+// what the sharded engine hands each allocator clone (shard.go): clones
+// cost O(1) memory instead of a link-sized array each.
 func (fl *Filler) cloneScoped() *Filler {
-	return &Filler{
-		capRem:   fl.capRem,
-		sumW:     fl.sumW,
-		cnt:      fl.cnt,
-		cntFlat:  fl.cntFlat,
-		inRun:    fl.inRun,
-		tidx:     fl.tidx,
-		mark:     fl.mark,
-		additive: fl.additive,
-	}
+	return &Filler{links: fl.links, additive: fl.additive}
 }
 
 // Reset initializes remaining capacities from the network (honoring
 // overrides). Call once per allocation epoch, before the first Run.
 func (fl *Filler) Reset(net *Network) {
-	for i := range fl.capRem {
-		fl.capRem[i] = net.Capacity(topology.LinkID(i))
+	for i := range fl.links {
+		fl.links[i].capRem = net.Capacity(topology.LinkID(i))
 	}
 }
 
@@ -159,7 +149,7 @@ func (fl *Filler) ResetFor(net *Network, ids []FlowID) {
 			continue
 		}
 		for _, l := range f.Path {
-			fl.capRem[l] = net.Capacity(l)
+			fl.links[l].capRem = net.Capacity(l)
 		}
 	}
 }
@@ -167,20 +157,24 @@ func (fl *Filler) ResetFor(net *Network, ids []FlowID) {
 // Run allocates rates for the given flows against the remaining
 // capacities, decrementing them so subsequent Runs see only the leftover
 // (strict-priority composition). Flows not in ids are ignored entirely;
-// their demand must already be reflected in capRem by a previous Run.
+// their demand must already be reflected in the residuals by a previous
+// Run. Run records no freezes, and it drops the freeze record of every
+// flow it rates: only IdealMaxMin's fill may resume from one.
 func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
-	if len(ids) == 0 {
-		return
-	}
 	if _, flat := cls.(FlatClassifier); flat {
 		// The four flat disciplines dominate simulation time; the
 		// specialized loop below computes bit-identical results (single
 		// class of weight 1, so every float expression degenerates to the
 		// same operations) without interface dispatch or per-class state.
-		fl.runFlat(net, ids)
+		fl.flat(net, ids, false, 0)
 		return
 	}
-	// Register per-link class occupancy for this run.
+	if len(ids) == 0 {
+		return
+	}
+	// Register per-link class occupancy for this run. A link is fresh
+	// until the run's registration epoch marks it.
+	reg := markEpoch.Add(1)
 	fl.touched = fl.touched[:0]
 	fl.pending = fl.pending[:0]
 	for _, id := range ids {
@@ -201,28 +195,28 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 		if !fl.additive {
 			f.Rate = 0
 		}
+		f.fseq = 0
 		f.inRun = true
 		fl.pending = append(fl.pending, id)
 		for _, l := range f.Path {
-			if !fl.inRun[l] {
-				fl.inRun[l] = true
-				fl.tidx[l] = int32(len(fl.touched))
+			ls := &fl.links[l]
+			if ls.mark != reg {
+				ls.mark = reg
+				ls.tidx = int32(len(fl.touched))
 				fl.touched = append(fl.touched, l)
 				nc := len(cls.LinkClasses(l))
-				if cap(fl.cnt[l]) < nc {
-					fl.cnt[l] = make([]int32, nc)
+				if cap(ls.cls) < nc {
+					ls.cls = make([]int32, nc)
 				} else {
-					fl.cnt[l] = fl.cnt[l][:nc]
-					for i := range fl.cnt[l] {
-						fl.cnt[l][i] = 0
-					}
+					ls.cls = ls.cls[:nc]
+					clear(ls.cls)
 				}
 			}
-			fl.cnt[l][cls.FlowClass(f, l)] += int32(f.Mult)
+			ls.cls[cls.FlowClass(f, l)] += int32(f.Mult)
 		}
 	}
 	for _, l := range fl.touched {
-		fl.sumW[l] = fl.demand(l, cls)
+		fl.links[l].sumW = fl.demand(l, cls)
 	}
 
 	// Generalized water-filling over (link, class) groups. A flow's
@@ -263,6 +257,9 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 				fl.freeze = append(fl.freeze, fid)
 			}
 		}
+		if len(fl.freeze) == 0 {
+			break // inconsistent counters; avoid spinning
+		}
 		ep := markEpoch.Add(1)
 		fl.affected = fl.affected[:0]
 		for _, fid := range fl.freeze {
@@ -270,24 +267,16 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 			fl.fix(f, best*float64(f.Mult), cls)
 			remaining--
 			for _, l := range f.Path {
-				if fl.mark[l] != ep {
-					fl.mark[l] = ep
+				if ls := &fl.links[l]; ls.mark != ep {
+					ls.mark = ep
 					fl.affected = append(fl.affected, l)
 				}
 			}
 		}
-		if len(fl.freeze) == 0 {
-			break // inconsistent counters; avoid spinning
-		}
 		for _, l := range fl.affected {
 			key, _ := fl.linkKey(l, cls)
-			fl.keys.lower(int(fl.tidx[l]), key)
+			fl.keys.lower(int(fl.links[l].tidx), key)
 		}
-	}
-
-	// Clear run markers.
-	for _, l := range fl.touched {
-		fl.inRun[l] = false
 	}
 	if remaining > 0 {
 		for _, id := range fl.pending {
@@ -296,12 +285,31 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 	}
 }
 
-// runFlat is Run specialized to FlatClassifier: per-flow max-min with one
+// flat is Run specialized to FlatClassifier: per-flow max-min with one
 // weight-1 class per link. cnt/demand/linkKey collapse to a single
 // per-link connection count, and a link's key is capRem/count directly
 // (share × weight 1.0 and weight-1 demand sums are bitwise identical to
 // the generic expressions), so the flat fill keeps no sumW.
-func (fl *Filler) runFlat(net *Network, ids []FlowID) {
+//
+// A recording fill (IdealMaxMin's) starts every touched link at its
+// capacity, clears its departure mark, and leaves on each flow it
+// freezes a freeze record: fseq numbers the freeze, fround is the fseq
+// of the round's first freeze, and capAfter[k] is the residual of
+// Path[k] right after the flow's rate was subtracted. Given a resume
+// round d > 0 (resumeLevel), every flow frozen in a round before d keeps
+// its rate and record, and the fill starts from the state the fill from
+// zero reaches at round d: each link's residual is the capAfter of the
+// latest kept flow crossing it, or its capacity, and its count holds the
+// re-filled flows only. Links keep their from-scratch touched order —
+// the first toucher counts over kept and re-filled flows alike — so ties
+// break as they would from zero; links only kept flows cross hold no
+// demand and stay out of the tree. The rounds then run unchanged.
+// A fill that does not record drops the record of every flow it rates.
+func (fl *Filler) flat(net *Network, ids []FlowID, record bool, d int64) {
+	if len(ids) == 0 {
+		return
+	}
+	reg := markEpoch.Add(1)
 	fl.touched = fl.touched[:0]
 	fl.pending = fl.pending[:0]
 	for _, id := range ids {
@@ -317,25 +325,52 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 			f.Rate = LocalRate
 			continue
 		}
+		kept := f.fround < d // d is 0 unless every pathful flow holds a record
+		for k, l := range f.Path {
+			ls := &fl.links[l]
+			if ls.mark != reg {
+				ls.mark = reg
+				ls.cnt = 0
+				if record {
+					ls.capRem = net.capEff[l]
+					ls.keep = 0
+					net.linkDep[l] = 0
+				}
+				fl.touched = append(fl.touched, l)
+			}
+			if !kept {
+				ls.cnt += int32(f.Mult)
+			} else if f.fseq > ls.keep {
+				ls.keep = f.fseq
+				ls.capRem = f.capAfter[k]
+			}
+		}
+		if kept {
+			continue
+		}
 		if !fl.additive {
 			f.Rate = 0
 		}
+		if record {
+			f.capAfter = slices.Grow(f.capAfter[:0], len(f.Path))[:len(f.Path)]
+		} else {
+			f.fseq = 0
+		}
 		f.inRun = true
 		fl.pending = append(fl.pending, id)
-		for _, l := range f.Path {
-			if !fl.inRun[l] {
-				fl.inRun[l] = true
-				fl.tidx[l] = int32(len(fl.touched))
-				fl.touched = append(fl.touched, l)
-				fl.cntFlat[l] = 0
-			}
-			fl.cntFlat[l] += int32(f.Mult)
-		}
 	}
 	fl.keys.key = slices.Grow(fl.keys.key[:0], len(fl.touched)+1) // +1: build's sentinel
+	n := 0
 	for _, l := range fl.touched {
-		fl.keys.key = append(fl.keys.key, fl.flatKey(l))
+		ls := &fl.links[l]
+		if ls.cnt > 0 {
+			ls.tidx = int32(n)
+			fl.touched[n] = l
+			n++
+			fl.keys.key = append(fl.keys.key, ls.flatKey())
+		}
 	}
+	fl.touched = fl.touched[:n]
 	fl.keys.build()
 	remaining := len(fl.pending)
 	for remaining > 0 {
@@ -344,7 +379,7 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 			break // no demand left (cannot happen while remaining > 0)
 		}
 		bl := fl.touched[ti]
-		best := fl.flatKey(bl)
+		best := fl.links[bl].flatKey()
 		if fl.keys.stale(ti, best, stored) {
 			continue
 		}
@@ -355,9 +390,15 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 				fl.freeze = append(fl.freeze, fid)
 			}
 		}
-		ep := markEpoch.Add(1)
+		if len(fl.freeze) == 0 {
+			break // inconsistent counters; avoid spinning
+		}
+		// The round's freezes are numbered round..ep; ep also marks the
+		// links they touch.
+		ep := markEpoch.Add(int64(len(fl.freeze)))
+		round := ep - int64(len(fl.freeze)) + 1
 		fl.affected = fl.affected[:0]
-		for _, fid := range fl.freeze {
+		for i, fid := range fl.freeze {
 			f := &net.flows[fid]
 			rate := best * float64(f.Mult)
 			if fl.additive {
@@ -367,28 +408,30 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 			}
 			f.inRun = false
 			remaining--
-			for _, l := range f.Path {
-				r := fl.capRem[l] - rate
+			for k, l := range f.Path {
+				ls := &fl.links[l]
+				r := ls.capRem - rate
 				if r < 0 {
 					r = 0
 				}
-				fl.capRem[l] = r
-				fl.cntFlat[l] -= int32(f.Mult)
-				if fl.mark[l] != ep {
-					fl.mark[l] = ep
+				ls.capRem = r
+				ls.cnt -= int32(f.Mult)
+				if ls.mark != ep {
+					ls.mark = ep
 					fl.affected = append(fl.affected, l)
 				}
+				if record {
+					f.capAfter[k] = r
+				}
+			}
+			if record {
+				f.fseq, f.fround = round+int64(i), round
 			}
 		}
-		if len(fl.freeze) == 0 {
-			break // inconsistent counters; avoid spinning
-		}
 		for _, l := range fl.affected {
-			fl.keys.lower(int(fl.tidx[l]), fl.flatKey(l))
+			ls := &fl.links[l]
+			fl.keys.lower(int(ls.tidx), ls.flatKey())
 		}
-	}
-	for _, l := range fl.touched {
-		fl.inRun[l] = false
 	}
 	if remaining > 0 {
 		for _, id := range fl.pending {
@@ -397,14 +440,50 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 	}
 }
 
+// resumeLevel returns the round a recording fill over ids may resume at:
+// the smallest departure mark on their links. It returns 0, a fill from
+// zero, when no link carries a mark, or when some pathful flow of ids
+// holds no freeze record: an arrival, a rerouted flow, a flow on a link
+// whose capacity changed, or one another fill rated last.
+//
+// Resuming is exact. A departed flow f was unfrozen in every round before
+// its own, so no such round picked a link f crosses: the round would have
+// frozen f. Removing f leaves every other link as it was (its key, its
+// linkFlows order and its touched position) and can only raise the key
+// and touched position of f's own links. The fill from zero of the
+// remaining flows therefore replays every round before f's exactly: the
+// same picks, freeze order and residual subtractions. Only whole rounds
+// are kept; f's round-mates froze at f's pick and must be re-filled.
+func resumeLevel(net *Network, ids []FlowID) int64 {
+	d := int64(math.MaxInt64)
+	for _, id := range ids {
+		f := &net.flows[id]
+		if !f.active || len(f.Path) == 0 {
+			continue
+		}
+		if f.fseq == 0 {
+			return 0
+		}
+		for _, l := range f.Path {
+			if m := net.linkDep[l]; m != 0 && m < d {
+				d = m
+			}
+		}
+	}
+	if d == math.MaxInt64 {
+		return 0
+	}
+	return d
+}
+
 // flatKey is linkKey under FlatClassifier: a link's per-connection fair
 // share, or +Inf when no unfixed connection crosses it.
-func (fl *Filler) flatKey(l topology.LinkID) float64 {
-	n := fl.cntFlat[l]
+func (ls *linkState) flatKey() float64 {
+	n := ls.cnt
 	if n <= 0 {
 		return math.Inf(1)
 	}
-	c := fl.capRem[l]
+	c := ls.capRem
 	if c < 0 {
 		c = 0
 	}
@@ -421,17 +500,18 @@ func (fl *Filler) fix(f *Flow, rate float64, cls Classifier) {
 	}
 	f.inRun = false
 	for _, l := range f.Path {
-		fl.capRem[l] -= rate
-		if fl.capRem[l] < 0 {
-			fl.capRem[l] = 0
+		ls := &fl.links[l]
+		ls.capRem -= rate
+		if ls.capRem < 0 {
+			ls.capRem = 0
 		}
 		c := cls.FlowClass(f, l)
-		fl.cnt[l][c] -= int32(f.Mult)
+		ls.cls[c] -= int32(f.Mult)
 		spec := cls.LinkClasses(l)[c]
 		if spec.PerFlow {
-			fl.sumW[l] -= spec.Weight * float64(f.Mult)
-		} else if fl.cnt[l][c] <= 0 {
-			fl.sumW[l] -= spec.Weight
+			ls.sumW -= spec.Weight * float64(f.Mult)
+		} else if ls.cls[c] <= 0 {
+			ls.sumW -= spec.Weight
 		}
 	}
 }
@@ -441,11 +521,12 @@ func (fl *Filler) fix(f *Flow, rate float64, cls Classifier) {
 // ascending scan), or (+Inf, -1) when the link has no unfixed demand —
 // the sentinel keeps spent links out of the bottleneck scan for free.
 func (fl *Filler) linkKey(l topology.LinkID, cls Classifier) (float64, int) {
-	w := fl.sumW[l]
+	ls := &fl.links[l]
+	w := ls.sumW
 	if w <= 1e-12 {
 		return math.Inf(1), -1
 	}
-	c := fl.capRem[l]
+	c := ls.capRem
 	if c < 0 {
 		c = 0
 	}
@@ -453,7 +534,7 @@ func (fl *Filler) linkKey(l topology.LinkID, cls Classifier) (float64, int) {
 	specs := cls.LinkClasses(l)
 	best := -1.0
 	bq := -1
-	for q, n := range fl.cnt[l] {
+	for q, n := range ls.cls {
 		if n <= 0 {
 			continue
 		}
@@ -475,7 +556,7 @@ func (fl *Filler) linkKey(l topology.LinkID, cls Classifier) (float64, int) {
 func (fl *Filler) demand(l topology.LinkID, cls Classifier) float64 {
 	specs := cls.LinkClasses(l)
 	w := 0.0
-	for c, n := range fl.cnt[l] {
+	for c, n := range fl.links[l].cls {
 		if n <= 0 {
 			continue
 		}

@@ -65,7 +65,7 @@ func TestFillerZeroCapacityLink(t *testing.T) {
 	// Starve the shared downlink outright. Progressive filling must still
 	// terminate, freezing both flows at rate zero.
 	fa, _ := net.Flow(a)
-	fl.capRem[fa.Path[len(fa.Path)-1]] = 0
+	fl.links[fa.Path[len(fa.Path)-1]].capRem = 0
 	fl.Run(net, []FlowID{a, b}, FlatClassifier{})
 	for _, id := range []FlowID{a, b} {
 		f, _ := net.Flow(id)
@@ -78,7 +78,7 @@ func TestFillerZeroCapacityLink(t *testing.T) {
 	}
 	// The generic (classed) path must agree.
 	fl.Reset(net)
-	fl.capRem[fa.Path[len(fa.Path)-1]] = 0
+	fl.links[fa.Path[len(fa.Path)-1]].capRem = 0
 	fl.Run(net, []FlowID{a, b}, constClassifier{})
 	for _, id := range []FlowID{a, b} {
 		f, _ := net.Flow(id)
@@ -127,7 +127,7 @@ func TestFillerAdditiveTopUpComposes(t *testing.T) {
 	// 90 of the shared downlink unconsumed.
 	fl.Reset(net)
 	fb, _ := net.Flow(b)
-	fl.capRem[fb.Path[0]] = 10
+	fl.links[fb.Path[0]].capRem = 10
 	fl.Run(net, []FlowID{b}, FlatClassifier{})
 	if fb.Rate != 10 {
 		t.Fatalf("throttled flow rate %g, want 10", fb.Rate)
@@ -156,20 +156,20 @@ func TestFillerResetForTouchesOnlyPathLinks(t *testing.T) {
 	net, hosts := testbed(t, 4)
 	a, _ := net.AddFlow(0, FlowSpec{Src: hosts[0], Dst: hosts[1], Bits: 1000})
 	fl := NewFiller(net)
-	for i := range fl.capRem {
-		fl.capRem[i] = -1 // poison
+	for i := range fl.links {
+		fl.links[i].capRem = -1 // poison
 	}
 	fl.ResetFor(net, []FlowID{a})
 	fa, _ := net.Flow(a)
 	onPath := map[topology.LinkID]bool{}
 	for _, l := range fa.Path {
 		onPath[l] = true
-		if fl.capRem[l] != net.Capacity(l) {
-			t.Errorf("path link %d not reset: %g", l, fl.capRem[l])
+		if fl.links[l].capRem != net.Capacity(l) {
+			t.Errorf("path link %d not reset: %g", l, fl.links[l].capRem)
 		}
 	}
-	for i, c := range fl.capRem {
-		if !onPath[topology.LinkID(i)] && c != -1 {
+	for i, ls := range fl.links {
+		if !onPath[topology.LinkID(i)] && ls.capRem != -1 {
 			t.Errorf("off-path link %d touched by ResetFor", i)
 		}
 	}

@@ -70,6 +70,14 @@ type Flow struct {
 	// until a restore lets the Engine re-attach it.
 	stalled bool
 	pathPos []int32 // pathPos[k] = this flow's index within linkFlows[Path[k]]
+
+	// Freeze record of the last recording fill (IdealMaxMin; fill.go),
+	// read by the next one to resume after departures: fseq numbers the
+	// flow's freeze (0: no record), fround is the fseq of the first flow
+	// frozen in the same round, and capAfter[k] is the residual of
+	// Path[k] right after this flow's rate was subtracted.
+	fseq, fround int64
+	capAfter     []float64
 }
 
 // Stalled reports whether the flow is parked without a live path after a
@@ -99,6 +107,7 @@ type Network struct {
 	flows     []Flow
 	free      []FlowID
 	linkFlows [][]FlowID                   // linkFlows[link] = active flows crossing it
+	linkDep   []int64                      // per link: lowest fround detached since its last recording fill (0: none)
 	capEff    []float64                    // effective capacity per link (overrides applied)
 	routes    map[uint64][]topology.LinkID // (src,dst) → path memo, shared read-only
 	// routeEpoch is the topology liveness epoch the memo was filled under;
@@ -130,6 +139,7 @@ func NewNetwork(top *topology.Topology) *Network {
 	return &Network{
 		top:       top,
 		linkFlows: make([][]FlowID, len(links)),
+		linkDep:   make([]int64, len(links)),
 		capEff:    capEff,
 		routes:    map[uint64][]topology.LinkID{},
 	}
@@ -265,12 +275,14 @@ func (n *Network) AddFlow(now float64, spec FlowSpec) (FlowID, error) {
 	if mult <= 0 {
 		mult = 1
 	}
-	pathPos := n.flows[id].pathPos[:0] // recycle the slot's index storage
+	// Recycle the slot's index and freeze-record storage.
+	pathPos, capAfter := n.flows[id].pathPos[:0], n.flows[id].capAfter
 	n.flows[id] = Flow{
 		ID: id, Src: spec.Src, Dst: spec.Dst, Path: path,
 		Size: spec.Bits, Remaining: spec.Bits,
 		App: spec.App, PL: spec.PL, Mult: mult, Coflow: spec.Coflow,
 		Start: now, lastSet: now, active: true, stalled: stalled,
+		capAfter: capAfter,
 	}
 	f := &n.flows[id]
 	for _, l := range path {
@@ -363,9 +375,17 @@ func (n *Network) routeLive(src, dst topology.NodeID) ([]topology.LinkID, error)
 // detach removes the flow from every link it occupies (swap-remove in
 // O(path length)) and clears its path. The flow stays active; the caller
 // either deactivates it (RemoveFlow) or re-attaches it on a new path.
+// A recorded flow lowers the departure mark of each link it leaves to its
+// freeze round, where the next recording fill of those links resumes,
+// and drops its record: the record describes the path it left.
 func (n *Network) detach(f *Flow, id FlowID) {
 	n.noteCoupling(f, -1)
 	for k, l := range f.Path {
+		if f.fseq != 0 {
+			if m := n.linkDep[l]; m == 0 || f.fround < m {
+				n.linkDep[l] = f.fround
+			}
+		}
 		fs := n.linkFlows[l]
 		i := int(f.pathPos[k])
 		last := len(fs) - 1
@@ -385,6 +405,7 @@ func (n *Network) detach(f *Flow, id FlowID) {
 	}
 	f.Path = nil
 	f.pathPos = f.pathPos[:0]
+	f.fseq = 0
 }
 
 // attach places an already-active flow on a new path, registering it on
@@ -455,7 +476,9 @@ func (n *Network) Capacity(l topology.LinkID) float64 {
 }
 
 // SetCapacityOverride caps a link at the given bits/sec (the profiler's
-// token-bucket NIC throttle). A non-positive value returns an error.
+// token-bucket NIC throttle). A non-positive value returns an error. The
+// flows on the link lose their freeze records, whose residuals assumed
+// the old capacity.
 func (n *Network) SetCapacityOverride(l topology.LinkID, bps float64) error {
 	if bps <= 0 {
 		return fmt.Errorf("netsim: capacity override must be positive, got %g", bps)
@@ -464,6 +487,9 @@ func (n *Network) SetCapacityOverride(l topology.LinkID, bps float64) error {
 		return fmt.Errorf("netsim: unknown link %d", l)
 	}
 	n.capEff[l] = bps
+	for _, fid := range n.linkFlows[l] {
+		n.flows[fid].fseq = 0
+	}
 	return nil
 }
 

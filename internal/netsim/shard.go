@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
 
@@ -146,32 +145,11 @@ func (e *Engine) SetShards(n int) {
 	e.bindShardGauges()
 	if ps := poolSize(n); ps >= 2 {
 		sh.workers = newShardWorkers(ps)
-		// Backstop for engines dropped mid-run without SetShards(1): the
-		// workers reference only the pool (never the engine between
-		// phases), so an abandoned engine becomes unreachable and the
-		// finalizer releases them. The finalizer sits on a small handle
-		// only the engine references, not on the engine: Go keeps an
-		// object with a finalizer, and all it reaches, alive through one
-		// more collection, which on the engine would hold a dropped
-		// engine's network and fill state for a GC cycle. Registered once
-		// per engine.
-		if e.pool == nil {
-			e.pool = new(poolRef)
-			runtime.SetFinalizer(e.pool, func(p *poolRef) {
-				if p.w != nil {
-					p.w.close()
-				}
-			})
-		}
 	}
-	if e.pool != nil {
-		e.pool.w = sh.workers // the old pool, if any, was stopped above
-	}
+	// The old pool, if any, was stopped above; an engine dropped mid-run
+	// without SetShards(1) stops this one through its engineRef.
+	e.ref.w = sh.workers
 }
-
-// poolRef is the finalizer-bearing handle on an engine's current worker
-// pool (nil when none runs).
-type poolRef struct{ w *shardWorkers }
 
 // retireShardGauges drains the per-shard gauges of a replaced shard set
 // to zero, so the per-pod shards retired by SetShards(1) do not leak
@@ -191,19 +169,15 @@ func retireShardGauges(old *shardedState) {
 // bindShardGauges resolves the per-shard labeled gauges against the
 // engine's current registry and publishes the current readings. Called
 // from SetShards and SetTelemetry. A one-shard engine binds none: the
-// engine-level gauges already carry the same reading, and registries
-// never release an instrument, so per-engine gauges add up in processes
-// that build thousands of short-lived engines.
+// engine-level gauges already carry the same reading.
 func (e *Engine) bindShardGauges() {
 	if len(e.sh.shards) < 2 {
 		return
 	}
 	for i, s := range e.sh.shards {
 		shard := strconv.Itoa(i)
-		s.gActive = e.tel.reg.Gauge(telemetry.Label("netsim.flows_active",
-			"engine", e.tel.engineID, "shard", shard))
-		s.gHeap = e.tel.reg.Gauge(telemetry.Label("netsim.completion_heap_size",
-			"engine", e.tel.engineID, "shard", shard))
+		s.gActive = e.tel.gauge("netsim.flows_active", "shard", shard)
+		s.gHeap = e.tel.gauge("netsim.completion_heap_size", "shard", shard)
 		s.gActive.Set(float64(s.active))
 		s.gHeap.Set(float64(s.completions.Len()))
 	}
@@ -570,26 +544,26 @@ func (e *Engine) recompute() {
 // still offered, because separable disciplines accept it as a no-op (no
 // link they bill changed) while decliners like Homa must re-rank the
 // whole network on every change — exactly what the widened path does.
+// Every other round, and a declined one, re-rates the whole active set
+// through Allocate, which never resumes a fill.
 func (e *Engine) recomputeUnion(now float64, scoped bool) {
 	w := &e.walk
 	if scoped {
 		e.splitDirty()
 		slices.Sort(w.ids)
-	} else {
-		w.cover(e.net)
-	}
-	w.save(e.net)
-	if !e.alloc.AllocateScoped(e.net, w.ids) {
-		if scoped {
-			// Allocator declined: widen to the full active set.
-			w.cover(e.net)
-			w.save(e.net)
+		w.save(e.net)
+		if e.alloc.AllocateScoped(e.net, w.ids) {
+			if len(w.ids) > 0 {
+				e.tel.scopedRecomputes.Inc()
+				e.tel.dirtyFlows.Add(uint64(len(w.ids)))
+			}
+			e.reprojectHome(now)
+			return
 		}
-		e.alloc.Allocate(e.net)
-	} else if scoped && len(w.ids) > 0 {
-		e.tel.scopedRecomputes.Inc()
-		e.tel.dirtyFlows.Add(uint64(len(w.ids)))
 	}
+	w.cover(e.net)
+	w.save(e.net)
+	e.alloc.Allocate(e.net)
 	e.reprojectHome(now)
 }
 

@@ -347,6 +347,72 @@ func TestShardedEngineIsCollected(t *testing.T) {
 	}
 }
 
+// engineGauges counts the gauges in reg labeled with any of the engine
+// ids.
+func engineGauges(reg *telemetry.Registry, ids ...string) int {
+	n := 0
+	for name := range reg.Snapshot().Gauges {
+		for _, id := range ids {
+			if strings.Contains(name, `engine="`+id+`"`) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Dropped engines must release the gauges they registered under their
+// engine label (flows_active, completion_heap_size, the port-utilization
+// pair and the per-shard gauges) from the process-wide registry, and an
+// engine rebound to another registry must release them at once: a
+// process that builds thousands of short-lived engines (the profiler)
+// would otherwise keep every one of them registered forever.
+func TestDroppedEnginesReleaseGauges(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2) // per-pod engines also run a worker pool
+	defer runtime.GOMAXPROCS(prev)
+	const engines = 8
+	var ids []string
+	for i := 0; i < engines; i++ {
+		top := diffFabric(t)
+		net := NewNetwork(top)
+		e := NewEngine(net, NewIdealMaxMin(net))
+		if i%2 == 1 {
+			e.SetShards(-1)
+		}
+		hosts := top.Hosts()
+		for j := 0; j < 8; j++ {
+			if _, err := e.AddFlow(FlowSpec{Src: hosts[j], Dst: hosts[(j+5)%len(hosts)], Bits: 1e6}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Run(math.Inf(1)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, e.engineID)
+	}
+	if n := engineGauges(telemetry.Default, ids...); n < 4*engines {
+		t.Fatalf("the engines registered %d labeled gauges, want at least %d", n, 4*engines)
+	}
+	runtime.GC()
+	for try := 0; try < 400 && engineGauges(telemetry.Default, ids...) > 0; try++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := engineGauges(telemetry.Default, ids...); n != 0 {
+		t.Errorf("%d gauges of dropped engines are still registered", n)
+	}
+
+	net := NewNetwork(diffFabric(t))
+	e := NewEngine(net, NewIdealMaxMin(net))
+	e.SetShards(-1)
+	if n := engineGauges(telemetry.Default, e.engineID); n == 0 {
+		t.Fatal("a per-pod engine registered no labeled gauges")
+	}
+	e.SetTelemetry(telemetry.NewRegistry())
+	if n := engineGauges(telemetry.Default, e.engineID); n != 0 {
+		t.Errorf("%d gauges stay in the registry the engine was rebound away from", n)
+	}
+}
+
 // decliner breaks the ShardableAllocator contract: once its shared
 // budget of accepted scoped calls is spent, it and every clone decline
 // AllocateScoped.

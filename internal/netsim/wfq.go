@@ -168,7 +168,7 @@ func (w *WFQ) AllocateScoped(net *Network, ids []FlowID) bool {
 			}
 			minResidual := math.Inf(1)
 			for _, l := range f.Path {
-				if r := w.filler.capRem[l]; r < minResidual {
+				if r := w.filler.links[l].capRem; r < minResidual {
 					minResidual = r
 				}
 			}
@@ -192,7 +192,7 @@ func (w *WFQ) AllocateScoped(net *Network, ids []FlowID) bool {
 // construction and never grows, and Configure/Deconfigure replace
 // elements in place from serial engine phases only, so clones observe
 // reconfigurations through the shared backing array. The filler is a
-// scoped view of the parent's (shared per-link arrays, owned run
+// scoped view of the parent's (shared per-link state, owned run
 // scratch; see cloneScoped); the configuration counters are shared
 // (Configure only ever runs on the parent).
 func (w *WFQ) ShardClone() Allocator {

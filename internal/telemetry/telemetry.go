@@ -127,6 +127,19 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// ForgetGauges unregisters the named gauges: later snapshots omit them,
+// and a later Gauge call under the same name creates a fresh one. Owners
+// of per-instance labeled gauges (each simulation engine) call it when
+// the instance goes away, so short-lived instances do not pile up in a
+// long-lived registry. Unknown names are ignored.
+func (r *Registry) ForgetGauges(names ...string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, n := range names {
+		delete(r.gauges, n)
+	}
+}
+
 // Histogram returns the histogram registered under name, creating it if
 // needed.
 func (r *Registry) Histogram(name string) *Histogram {

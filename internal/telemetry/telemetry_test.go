@@ -233,3 +233,17 @@ func TestRegistryConcurrentStress(t *testing.T) {
 		t.Fatalf("histogram lost updates: got %d, want %d", got, writers*ops)
 	}
 }
+
+func TestForgetGauges(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("a").Set(1)
+	r.Gauge("b").Set(2)
+	r.ForgetGauges("a", "missing")
+	s := r.Snapshot()
+	if _, ok := s.Gauges["a"]; ok || s.Gauges["b"] != 2 || len(s.Gauges) != 1 {
+		t.Fatalf("after ForgetGauges(a): %v, want only b=2", s.Gauges)
+	}
+	if g := r.Gauge("a"); g.Value() != 0 {
+		t.Fatalf("re-registered gauge reads %g, want a fresh 0", g.Value())
+	}
+}
